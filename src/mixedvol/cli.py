@@ -278,7 +278,7 @@ def _cmd_vdw_check(args) -> int:
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
     try:
         values = tuple(as_rational(part.strip()) for part in text.split(",") if part.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad grid value in {text!r}: {exc}") from None
     if not values:
         raise UsageError("the side grid must contain at least one value")

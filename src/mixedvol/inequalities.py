@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import factorial, lcm
 from typing import Sequence
@@ -28,13 +29,13 @@ from .mixed import (
     mixed_volume,
 )
 from .numerics import (
-    INFEASIBLE,
     Matrix,
     SymMatrix,
+    as_rational,
     format_rational,
     is_positive_definite,
     permanent,
-    simplex_max,
+    simplex_max,  # noqa: F401 - perfbench/spans.py traces this attribute
 )
 
 HOLDS = "holds"
@@ -80,6 +81,9 @@ class Certificate:
     comparison: str
 
     def __post_init__(self):
+        for idx, w in self.support:
+            if w <= 0:
+                raise ValueError(f"support weight of {idx} is {w}, expected > 0")
         total = sum((w for _, w in self.support), Fraction(0))
         if total != 1:
             raise ValueError(f"support weights sum to {total}, expected 1")
@@ -108,11 +112,11 @@ class Certificate:
             return cls(
                 center=tuple(int(x) for x in doc["center"]),
                 support=tuple(
-                    (tuple(int(x) for x in item["index"]), Fraction(item["weight"]))
+                    (tuple(int(x) for x in item["index"]), as_rational(item["weight"]))
                     for item in doc["support"]
                 ),
-                lhs=Fraction(doc["lhs"]),
-                rhs=Fraction(doc["rhs"]),
+                lhs=as_rational(doc["lhs"]),
+                rhs=as_rational(doc["rhs"]),
                 comparison=str(doc["comparison"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -286,7 +290,6 @@ def _solve_unique(
     k = len(rhs)
     s = len(cols)
     aug = [[Fraction(cols[j][i]) for j in range(s)] + [Fraction(rhs[i])] for i in range(k)]
-    pivots = []
     r = 0
     for c in range(s):
         pivot = next((i for i in range(r, k) if aug[i][c] != 0), None)
@@ -299,7 +302,6 @@ def _solve_unique(
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
         r += 1
     for i in range(r, k):
         if aug[i][s] != 0:
@@ -307,37 +309,54 @@ def _solve_unique(
     return tuple(aug[i][s] for i in range(s))
 
 
-def _envelope_scan(vp: VolumePolynomial) -> tuple[list[Certificate], int]:
-    # Enumerate, for every center I with V_I > 0, the vertices of the weight
-    # polytope {w >= 0 : Σ w_J J = I, support on J != I with V_J > 0} and
-    # build the exact power comparison at each. Returns all comparisons
-    # (violated or not) plus the number of centers examined.
-    coeffs = dict(vp.coefficients)
-    log_values = {idx: LogValue.of(v) for idx, v in coeffs.items()}
-    positive = [idx for idx in discrete_simplex(vp.k, vp.n) if log_values[idx].is_finite]
-    k = vp.k
-    comparisons: list[Certificate] = []
-    checked = 0
-    for center in positive:
-        cands = [idx for idx in positive if idx != center]
-        if not cands:
-            continue
-        checked += 1
-        eq_lhs = Matrix([[cands[j][i] for j in range(len(cands))] for i in range(k)])
-        lp = simplex_max([Fraction(0)] * len(cands), eq_lhs, [Fraction(x) for x in center])
-        if lp.status == INFEASIBLE:
-            continue
-        seen: set[tuple] = set()
-        for size in range(1, min(k, len(cands)) + 1):
-            for subset in combinations(range(len(cands)), size):
-                cols = [cands[j] for j in subset]
+@cache
+def _vertex_table(k: int, n: int) -> tuple[tuple[MultiIndex, tuple[tuple[int, tuple], ...]], ...]:
+    # Per center I, in simplex order: (bitmask over simplex positions, sorted
+    # (J, w_J) pairs) for every support of other points with a unique, strictly
+    # positive solution of Σ w_J J = I, by size and then in subset-scan order.
+    # A positive w_J with J_c > 0 = I_c is impossible, so supports lie in the
+    # smallest face holding I, whose points span one dimension per nonzero I_c.
+    points = discrete_simplex(k, n)
+    table = []
+    for center in points:
+        zero = [c for c in range(k) if center[c] == 0]
+        face = [
+            (1 << pos, idx)
+            for pos, idx in enumerate(points)
+            if idx != center and all(idx[c] == 0 for c in zero)
+        ]
+        entries = []
+        for size in range(1, k - len(zero) + 1):
+            for subset in combinations(face, size):
+                cols = [idx for _, idx in subset]
                 w = _solve_unique(cols, center)
                 if w is None or any(x <= 0 for x in w):
                     continue
-                support = tuple(sorted(zip(cols, w)))
-                if support in seen:
-                    continue
-                seen.add(support)
+                mask = sum(bit for bit, _ in subset)
+                entries.append((mask, tuple(sorted(zip(cols, w)))))
+        table.append((center, tuple(entries)))
+    return tuple(table)
+
+
+def _envelope_scan(vp: VolumePolynomial) -> tuple[list[Certificate], int]:
+    # For every center I with V_I > 0, the vertices of the weight polytope
+    # {w >= 0 : Σ w_J J = I, support on J != I with V_J > 0} are the vertex
+    # table entries whose support avoids every V_J = 0 (an empty polytope
+    # keeps none).  Build the exact power comparison at each.  Returns all
+    # comparisons (violated or not) plus the number of centers examined.
+    coeffs = dict(vp.coefficients)
+    table = _vertex_table(vp.k, vp.n)
+    positive = [LogValue.of(coeffs[center]).is_finite for center, _ in table]
+    zero_mask = sum(1 << pos for pos, finite in enumerate(positive) if not finite)
+    others = sum(positive) > 1
+    comparisons: list[Certificate] = []
+    checked = 0
+    for (center, entries), finite in zip(table, positive):
+        if not finite or not others:
+            continue
+        checked += 1
+        for mask, support in entries:
+            if not mask & zero_mask:
                 comparisons.append(_power_certificate(center, support, coeffs))
     return comparisons, checked
 
@@ -357,10 +376,12 @@ def gromov_concavity(vp: VolumePolynomial) -> Report:
     """Concavity of log V_I against arbitrary convex combinations of other
     simplex points (the concave-envelope reading).
 
-    For each center I with V_I > 0 the feasible weight polytope is screened
-    with an exact LP and then searched at its vertices, where weights are
-    rational and the comparison V_I^q vs Π V_J^{p_J} is exact.  Points with
-    V_J = 0 can never contribute (log 0 = -infinity).
+    For each center I with V_I > 0 the feasible weight polytope is searched
+    at its vertices, where weights are rational and the comparison
+    V_I^q vs Π V_J^{p_J} is exact.  The vertices are read off a table of
+    weight-polytope vertices built once per (k, n): those whose support
+    avoids every V_J = 0, since points with V_J = 0 can never contribute
+    (log 0 = -infinity).
     """
     comparisons, checked = _envelope_scan(vp)
     certs = [c for c in comparisons if c.lhs < c.rhs]

@@ -15,6 +15,7 @@ are identical across runs and across worker counts.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,7 +111,7 @@ class Finding:
                 index=int(doc["candidate"]),
                 side_matrix=Matrix(doc["side_matrix"]),
                 certificate=Certificate.from_json(doc["certificate"]),
-                violation_ratio=Fraction(doc["violation_ratio"]),
+                violation_ratio=as_rational(doc["violation_ratio"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed finding document: {exc}") from exc
@@ -166,36 +167,6 @@ def _perm3(r0: Sequence[int], r1: Sequence[int], r2: Sequence[int]) -> int:
         + r0[1] * (r1[0] * r2[2] + r1[2] * r2[0])
         + r0[2] * (r1[0] * r2[1] + r1[1] * r2[0])
     )
-
-
-def _int_permanent(rows: list[Sequence[int]]) -> int:
-    n = len(rows)
-    if n == 3:
-        return _perm3(rows[0], rows[1], rows[2])
-    if n == 0:
-        return 1
-    cols = [[rows[i][j] for i in range(n)] for j in range(n)]
-    sums = [0] * n
-    total = 0
-    gray = 0
-    for t in range(1, 1 << n):
-        j = (t & -t).bit_length() - 1
-        gray ^= 1 << j
-        col = cols[j]
-        if gray >> j & 1:
-            for i in range(n):
-                sums[i] += col[i]
-        else:
-            for i in range(n):
-                sums[i] -= col[i]
-        prod = 1
-        for s in sums:
-            prod *= s
-        if (n - gray.bit_count()) & 1:
-            total -= prod
-        else:
-            total += prod
-    return total
 
 
 @dataclass(frozen=True)
@@ -392,12 +363,20 @@ def _hill_climb(space: SearchSpace, config: SearchConfig) -> SearchResult:
     return _finish(found, evaluations)
 
 
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
 def search(space: SearchSpace, config: SearchConfig, *, jobs: int = 1) -> SearchResult:
     """Run the configured search; output is a pure function of (space, config).
 
     ``jobs`` > 1 splits grid and random scans into contiguous index chunks
-    evaluated in worker processes; chunk results are merged in index order, so
-    the outcome is identical for every worker count.  Hill-climb walks are
+    evaluated in worker processes, at most one per CPU available to this
+    process; chunk results are merged in index order, so the outcome is
+    identical for every worker count.  Hill-climb walks are
     sequential by nature and ignore ``jobs``.
     """
     _check_target(space, config)
@@ -411,8 +390,9 @@ def search(space: SearchSpace, config: SearchConfig, *, jobs: int = 1) -> Search
     else:
         count = config.max_evaluations
 
-    jobs = max(1, int(jobs))
-    if jobs == 1 or count < 2 * jobs:
+    # One chunk per worker and at least two candidates per chunk.
+    jobs = max(1, min(int(jobs), _cpu_count(), count // 2))
+    if jobs == 1:
         found = _scan_range(space, config, 0, count)
         return _finish(found, count)
 

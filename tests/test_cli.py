@@ -9,7 +9,12 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
+
+from mixedvol.bodies import AxisBox
 from mixedvol.cli import EXIT_FAILS, EXIT_INPUT, EXIT_OK, run
+from mixedvol.inequalities import gromov_concavity
+from mixedvol.mixed import BodyTuple, volume_polynomial
 
 FLAT_TRIPLE_DOC = {
     "dimension": 3,
@@ -338,3 +343,92 @@ def test_verify_checks_summary_count(tmp_path, capsys):
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["verify", str(out_path)]) == EXIT_FAILS
     assert "summary claims" in capsys.readouterr().out
+
+
+# -- hostile input ----------------------------------------------------------------
+
+# Weights -1, -1, 3 satisfy both convex-combination identities of a
+# certificate, -(0,1,2) - (2,1,0) + 3 (1,1,1) = (1,1,1), yet these boxes pass
+# the envelope test, so a stream built on them must never verify.
+FORGED_SIDES = [["1", "2", "3"], ["3", "1", "2"], ["2", "3", "1"]]
+
+
+def _forged_finding_doc() -> dict:
+    vp = volume_polynomial(BodyTuple(tuple(AxisBox.from_lengths(r) for r in FORGED_SIDES)))
+    assert gromov_concavity(vp).holds
+    lhs = vp[(1, 1, 1)]
+    rhs = vp[(1, 1, 1)] ** 3 / (vp[(0, 1, 2)] * vp[(2, 1, 0)])
+    assert lhs < rhs
+    return {
+        "candidate": 0,
+        "side_matrix": FORGED_SIDES,
+        "violation_ratio": str(rhs / lhs),
+        "certificate": {
+            "center": [1, 1, 1],
+            "support": [
+                {"index": [0, 1, 2], "weight": "-1"},
+                {"index": [2, 1, 0], "weight": "-1"},
+                {"index": [1, 1, 1], "weight": "3"},
+            ],
+            "lhs": str(lhs),
+            "rhs": str(rhs),
+            "comparison": "V(1, 1, 1)^1 vs V(0, 1, 2)^-1 * V(2, 1, 0)^-1 * V(1, 1, 1)^3",
+        },
+    }
+
+
+def test_verify_rejects_forged_negative_weights(tmp_path, capsys):
+    path = tmp_path / "forged.jsonl"
+    path.write_text(json.dumps(_forged_finding_doc()) + "\n", encoding="utf-8")
+    assert run(["verify", str(path)]) == EXIT_INPUT
+    assert "weight" in capsys.readouterr().err
+
+
+def test_zero_denominator_matrix_is_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('[["1/0","1"],["1","1"]]'))
+    assert run(["perm"]) == EXIT_INPUT
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_zero_denominator_body_is_input_error(tmp_path, capsys):
+    doc = {"dimension": 3, "bodies": [{"type": "box", "intervals": [["0", "1/0"], ["0", "1"], ["0", "1"]]}] * 3}
+    assert run(["mixvol", write_doc(tmp_path, "bodies.json", doc)]) == EXIT_INPUT
+    assert "internal error" not in capsys.readouterr().err
+
+
+# The flat-box triple's finding, as the search streams it.
+FLAT_FINDING_DOC = {
+    "candidate": 0,
+    "side_matrix": [["1", "1", "0"], ["1", "0", "5"], ["0", "1/3", "1"]],
+    "violation_ratio": "75/64",
+    "certificate": {
+        "center": [1, 1, 1],
+        "support": [
+            {"index": [2, 1, 0], "weight": "1/3"},
+            {"index": [0, 2, 1], "weight": "1/3"},
+            {"index": [1, 0, 2], "weight": "1/3"},
+        ],
+        "lhs": "64/729",
+        "rhs": "25/243",
+        "comparison": "V(1,1,1)^3 vs V(2,1,0)^1 * V(0,2,1)^1 * V(1,0,2)^1",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [("certificate", "support", 0, "weight"), ("certificate", "lhs"), ("violation_ratio",)],
+    ids=["weight", "lhs", "ratio"],
+)
+def test_zero_denominator_findings_stream_is_input_error(tmp_path, capsys, field):
+    path = tmp_path / "findings.jsonl"
+    path.write_text(json.dumps(FLAT_FINDING_DOC) + "\n", encoding="utf-8")
+    assert run(["verify", str(path)]) == EXIT_OK
+    doc = json.loads(json.dumps(FLAT_FINDING_DOC))
+    target = doc
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = "1/0"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    assert run(["verify", str(path)]) == EXIT_INPUT
+    assert "internal error" not in capsys.readouterr().err

@@ -400,3 +400,17 @@ def test_vdw_random_permutation_mixtures():
                 rows[i][j] += Fraction(w, total)
         result = vdw_check(Matrix(rows))
         assert result.holds
+
+
+
+@pytest.mark.parametrize(
+    "support",
+    [
+        (((0, 1, 2), Fraction(-1)), ((2, 1, 0), Fraction(-1)), ((1, 1, 1), Fraction(3))),
+        (((0, 1, 2), Fraction(0)), ((1, 1, 1), Fraction(1))),
+    ],
+)
+def test_certificate_rejects_nonpositive_weights(support):
+    # Both supports sum to 1 and combine to the center; only the sign is wrong.
+    with pytest.raises(ValueError, match="weight"):
+        Certificate(center=(1, 1, 1), support=support, lhs=Fraction(1), rhs=Fraction(2), comparison="x")

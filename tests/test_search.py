@@ -2,6 +2,8 @@
 independent re-verification of every emitted finding."""
 
 import dataclasses
+import importlib
+import os
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,9 @@ TARGET_MATRIX = Matrix([
     [0, Fraction(1, 3), 1],
 ])
 TARGET_RATIO = Fraction(75, 64)
+
+# The package re-exports the function ``search`` under the submodule's name.
+search_module = importlib.import_module("mixedvol.search")
 
 FULL_GRID = (0, Fraction(1, 3), 1, 5)
 
@@ -199,3 +204,39 @@ def test_jsonl_round_trip():
 def test_malformed_finding_document_rejected():
     with pytest.raises(ValueError, match="malformed"):
         Finding.from_json({"candidate": 0, "side_matrix": [[1]]})
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the worker count and maps
+    in this process, so the test starts no processes at all."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_jobs_clamped_to_cpus_and_chunks(monkeypatch):
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    space = SearchSpace(side_grid=FULL_GRID)
+    sequential = search(space, SearchConfig(mode=RANDOM, seed=77, max_evaluations=40))
+    for jobs, evaluations, workers in ((10**9, 40, 3), (64, 5, 2), (2, 40, 2)):
+        config = SearchConfig(mode=RANDOM, seed=77, max_evaluations=evaluations)
+        result = search(space, config, jobs=jobs)
+        assert _RecordingPool.started[-1] == workers
+        if evaluations == 40:
+            assert result == sequential
+    # Too few candidates for two chunks of two: no pool at all.
+    search(space, SearchConfig(mode=RANDOM, seed=77, max_evaluations=3), jobs=8)
+    assert len(_RecordingPool.started) == 3
