@@ -20,6 +20,7 @@ from typing import Iterable, Sequence, Union
 from .numerics import (
     Matrix,
     RationalLike,
+    as_index,
     as_rational,
     determinant,
     format_rational,
@@ -133,10 +134,6 @@ class VPolytope:
 Body = Union[AxisBox, Zonotope, VPolytope]
 
 
-def body_dim(b: Body) -> int:
-    return b.dim
-
-
 def scale(b: Body, lam: RationalLike) -> Body:
     """Dilate a body by a nonnegative rational factor."""
     lam = as_rational(lam)
@@ -164,7 +161,7 @@ def minkowski_sum(parts: Sequence[tuple[RationalLike, Body]]) -> Body:
     for lam, _ in scaled:
         if lam < 0:
             raise ValueError(f"Minkowski coefficient must be nonnegative, got {lam}")
-    dims = {body_dim(b) for _, b in scaled}
+    dims = {b.dim for _, b in scaled}
     if len(dims) != 1:
         raise ValueError(f"bodies live in different ambient dimensions: {sorted(dims)}")
     n = dims.pop()
@@ -417,7 +414,7 @@ def body_from_json(doc: object) -> Body:
         if kind == "zonotope":
             gens = [tuple(as_rational(x) for x in g) for g in doc["generators"]]
             dim = doc.get("dimension", len(gens[0]) if gens else 0)
-            return Zonotope(int(dim), tuple(gens))
+            return Zonotope(as_index(dim), tuple(gens))
         if kind == "vpolytope":
             verts = [tuple(as_rational(x) for x in v) for v in doc["vertices"]]
             if not verts:

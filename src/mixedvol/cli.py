@@ -17,10 +17,9 @@ from decimal import Context
 from decimal import Decimal
 from fractions import Fraction
 
-from .bodies import Body, body_dim, body_from_json
+from .bodies import Body, body_from_json
 from .inequalities import (
     FAILS,
-    PreconditionError,
     Report,
     af_check_discriminants,
     af_check_volumes,
@@ -39,7 +38,7 @@ from .mixed import (
     mixed_volume,
     volume_polynomial,
 )
-from .numerics import Matrix, SymMatrix, as_rational, format_rational, permanent
+from .numerics import Matrix, SymMatrix, as_rational, format_rational, parse_json, permanent
 from .search import (
     MODES,
     TARGETS,
@@ -82,18 +81,6 @@ def fmt_value(v: Fraction) -> str:
 # Input documents
 
 
-def _load_json(path: str):
-    try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"input file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"input is not valid JSON: {exc}") from None
-
-
 def _read_text(path: str) -> str:
     try:
         if path == "-":
@@ -102,6 +89,13 @@ def _read_text(path: str) -> str:
             return fh.read()
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}") from None
+
+
+def _load_json(path: str):
+    try:
+        return parse_json(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"input is not valid JSON: {exc}") from None
 
 
 def _matrix_doc(doc) -> Matrix:
@@ -125,11 +119,11 @@ def _bodies_doc(doc) -> tuple[int, list[Body]]:
     declared = doc.get("dimension")
     if declared is not None:
         for pos, b in enumerate(bodies):
-            if body_dim(b) != declared:
+            if b.dim != declared:
                 raise UsageError(
-                    f"body {pos} has dimension {body_dim(b)} but the document declares {declared}"
+                    f"body {pos} has dimension {b.dim} but the document declares {declared}"
                 )
-    return (declared if declared is not None else body_dim(bodies[0])), bodies
+    return (declared if declared is not None else bodies[0].dim), bodies
 
 
 def _matrices_doc(doc) -> list[SymMatrix]:
@@ -146,6 +140,19 @@ def _matrices_doc(doc) -> list[SymMatrix]:
     return out
 
 
+def _tuple_doc(doc):
+    """A body or a matrix tuple document, as its volume (or discriminant)
+    polynomial and its squared comparison, each computed when called."""
+    if isinstance(doc, dict) and "matrices" in doc:
+        matrices = _matrices_doc(doc)
+        return (
+            lambda: discriminant_polynomial(MatrixTuple(tuple(matrices))),
+            lambda: af_check_discriminants(matrices),
+        )
+    _, bodies = _bodies_doc(doc)
+    return lambda: volume_polynomial(BodyTuple(tuple(bodies))), lambda: af_check_volumes(bodies)
+
+
 def _polynomial_source(doc) -> VolumePolynomial:
     """A coefficient array, a body tuple, or a matrix tuple all yield the
     polynomial the concavity checks consume."""
@@ -154,11 +161,9 @@ def _polynomial_source(doc) -> VolumePolynomial:
             return VolumePolynomial.from_json(doc)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    if isinstance(doc, dict) and "bodies" in doc:
-        _, bodies = _bodies_doc(doc)
-        return volume_polynomial(BodyTuple(tuple(bodies)))
-    if isinstance(doc, dict) and "matrices" in doc:
-        return discriminant_polynomial(MatrixTuple(tuple(_matrices_doc(doc))))
+    if isinstance(doc, dict) and ("bodies" in doc or "matrices" in doc):
+        polynomial, _ = _tuple_doc(doc)
+        return polynomial()
     raise UsageError(
         "expected a polynomial coefficient array, a body tuple document, or a matrix tuple document"
     )
@@ -214,12 +219,8 @@ def _cmd_mixdisc(args) -> int:
 
 
 def _cmd_volpoly(args) -> int:
-    doc = _load_json(args.input)
-    if isinstance(doc, dict) and "matrices" in doc:
-        vp = discriminant_polynomial(MatrixTuple(tuple(_matrices_doc(doc))))
-    else:
-        _, bodies = _bodies_doc(doc)
-        vp = volume_polynomial(BodyTuple(tuple(bodies)))
+    polynomial, _ = _tuple_doc(_load_json(args.input))
+    vp = polynomial()
     if args.format == "json":
         print(json.dumps(vp.to_json()))
     else:
@@ -230,13 +231,8 @@ def _cmd_volpoly(args) -> int:
 
 
 def _cmd_af_check(args) -> int:
-    doc = _load_json(args.input)
-    if isinstance(doc, dict) and "matrices" in doc:
-        report = af_check_discriminants(_matrices_doc(doc))
-    else:
-        _, bodies = _bodies_doc(doc)
-        report = af_check_volumes(bodies)
-    return _emit_report(report, args.format)
+    _, af_check = _tuple_doc(_load_json(args.input))
+    return _emit_report(af_check(), args.format)
 
 
 def _cmd_segment(args) -> int:
@@ -260,8 +256,7 @@ def _cmd_bm_check(args) -> int:
     n, bodies = _bodies_doc(_load_json(args.input))
     if len(bodies) != 2:
         raise UsageError(f"bm-check needs exactly 2 bodies, got {len(bodies)}")
-    report = minkowski_sequence_check(bodies[0], bodies[1], n, digits=args.digits)
-    return _emit_report(report, args.format)
+    return _emit_report(minkowski_sequence_check(bodies[0], bodies[1], n), args.format)
 
 
 def _cmd_vdw_check(args) -> int:
@@ -357,8 +352,7 @@ def _build_parser() -> _Parser:
     add("segment-concavity", _cmd_segment, "log-concavity along simplex edges")
     add("gromov-check", _cmd_gromov, "concave-envelope test on the discrete simplex")
     add("triple-check", _cmd_triple, "three-body cyclic comparison in dimension 3")
-    bm = add("bm-check", _cmd_bm_check, "log-concavity of the two-body replacement sequence")
-    bm.add_argument("--digits", type=int, default=64, help="precision of the float diagnostic")
+    add("bm-check", _cmd_bm_check, "log-concavity of the two-body replacement sequence")
     add("vdw-check", _cmd_vdw_check, "permanent margin over the doubly stochastic minimum")
 
     sp = add("search", _cmd_search, "search box families for concavity violations", with_input=False)
@@ -387,13 +381,7 @@ def run(argv) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, TypeError) as exc:
+    except (UsageError, ValueError, TypeError) as exc:  # PreconditionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:
@@ -404,6 +392,11 @@ def run(argv) -> int:
 
 
 def main() -> None:
+    # Exact answers may have any number of digits, so the command lifts
+    # Python's limit on int-to-str conversion (absent before 3.10.7) for its
+    # whole process; as_rational and as_index keep inputs within it.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(run(sys.argv[1:]))
 
 

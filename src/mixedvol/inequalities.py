@@ -16,11 +16,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import factorial, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
-import mpmath
-
-from .bodies import Body, body_dim, minkowski_sum, volume
+from .bodies import Body, minkowski_sum, volume
 from .mixed import (
     MultiIndex,
     VolumePolynomial,
@@ -30,12 +28,15 @@ from .mixed import (
 )
 from .numerics import (
     Matrix,
+    SingularSystemError,
     SymMatrix,
+    as_index,
     as_rational,
     format_rational,
     is_positive_definite,
     permanent,
     simplex_max,  # noqa: F401 - perfbench/spans.py traces this attribute
+    solve_linear,
 )
 
 HOLDS = "holds"
@@ -45,23 +46,6 @@ VACUOUS = "vacuous"
 
 class PreconditionError(ValueError):
     """The input violates a hypothesis of the inequality being checked."""
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """log v for v > 0, or negative infinity for v = 0 (the log 0 convention)."""
-
-    argument: Fraction | None  # None tags negative infinity
-
-    @classmethod
-    def of(cls, v: Fraction) -> "LogValue":
-        if v < 0:
-            raise ValueError(f"log of a negative value: {v}")
-        return cls(argument=None) if v == 0 else cls(argument=v)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.argument is not None
 
 
 @dataclass(frozen=True)
@@ -110,9 +94,9 @@ class Certificate:
     def from_json(cls, doc: dict) -> "Certificate":
         try:
             return cls(
-                center=tuple(int(x) for x in doc["center"]),
+                center=tuple(as_index(x) for x in doc["center"]),
                 support=tuple(
-                    (tuple(int(x) for x in item["index"]), as_rational(item["weight"]))
+                    (tuple(as_index(x) for x in item["index"]), as_rational(item["weight"]))
                     for item in doc["support"]
                 ),
                 lhs=as_rational(doc["lhs"]),
@@ -186,7 +170,13 @@ def recheck_certificate(vp: VolumePolynomial, cert: Certificate) -> bool:
 # Alexandrov-Fenchel
 
 
-def _af_report(v12: Fraction, v11: Fraction, v22: Fraction, what: str, n: int) -> Report:
+def _af_report(items: Sequence, mixed: Callable[[list], Fraction], what: str) -> Report:
+    # The squared comparison varies the first two items and fixes the rest.
+    n = len(items)
+    first, second, *rest = items
+    v12 = mixed([first, second, *rest])
+    v11 = mixed([first, first, *rest])
+    v22 = mixed([second, second, *rest])
     lhs = v12 * v12
     rhs = v11 * v22
     values = (
@@ -216,30 +206,20 @@ def af_check_volumes(bodies: Sequence[Body]) -> Report:
 
     The first two bodies are the varying pair; the rest stay fixed.
     """
-    n = len(bodies)
-    if n < 2:
+    if len(bodies) < 2:
         raise ValueError("the comparison needs at least two bodies")
-    rest = list(bodies[2:])
-    v12 = mixed_volume([bodies[0], bodies[1], *rest])
-    v11 = mixed_volume([bodies[0], bodies[0], *rest])
-    v22 = mixed_volume([bodies[1], bodies[1], *rest])
-    return _af_report(v12, v11, v22, "V", n)
+    return _af_report(bodies, mixed_volume, "V")
 
 
 def af_check_discriminants(matrices: Sequence[SymMatrix]) -> Report:
     """The matrix analogue of the squared-mixed-volume inequality, for
     positive-definite symmetric matrices."""
-    n = len(matrices)
-    if n < 2:
+    if len(matrices) < 2:
         raise ValueError("the comparison needs at least two matrices")
     for pos, m in enumerate(matrices):
         if not is_positive_definite(m):
             raise PreconditionError(f"matrix {pos} is not positive definite")
-    rest = list(matrices[2:])
-    d12 = mixed_discriminant([matrices[0], matrices[1], *rest])
-    d11 = mixed_discriminant([matrices[0], matrices[0], *rest])
-    d22 = mixed_discriminant([matrices[1], matrices[1], *rest])
-    return _af_report(d12, d11, d22, "D", n)
+    return _af_report(matrices, mixed_discriminant, "D")
 
 
 # ---------------------------------------------------------------------------
@@ -282,31 +262,12 @@ def segment_concavity(vp: VolumePolynomial) -> Report:
     return Report(verdict=HOLDS, certificates=(), checked_count=checked)
 
 
-def _solve_unique(
-    cols: list[tuple[int, ...]], rhs: Sequence[int]
-) -> tuple[Fraction, ...] | None:
-    # Solve the overdetermined system (columns as unknown coefficients)
-    # exactly; None unless a unique solution exists.
-    k = len(rhs)
-    s = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(s)] + [Fraction(rhs[i])] for i in range(k)]
-    r = 0
-    for c in range(s):
-        pivot = next((i for i in range(r, k) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None  # dependent columns: covered by a smaller support
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, k):
-        if aug[i][s] != 0:
-            return None  # inconsistent
-    return tuple(aug[i][s] for i in range(s))
+def _solve_unique(cols: list[tuple[int, ...]], rhs: Sequence[int]) -> tuple[Fraction, ...] | None:
+    # The weights w with Σ_j w_j cols[j] = rhs, when they are unique.
+    try:
+        return solve_linear(Matrix(list(zip(*cols))), rhs)
+    except SingularSystemError:
+        return None
 
 
 @cache
@@ -346,7 +307,10 @@ def _envelope_scan(vp: VolumePolynomial) -> tuple[list[Certificate], int]:
     # comparisons (violated or not) plus the number of centers examined.
     coeffs = dict(vp.coefficients)
     table = _vertex_table(vp.k, vp.n)
-    positive = [LogValue.of(coeffs[center]).is_finite for center, _ in table]
+    for center, _ in table:
+        if coeffs[center] < 0:
+            raise ValueError(f"log of a negative value: {coeffs[center]}")
+    positive = [coeffs[center] > 0 for center, _ in table]
     zero_mask = sum(1 << pos for pos, finite in enumerate(positive) if not finite)
     others = sum(positive) > 1
     comparisons: list[Certificate] = []
@@ -396,44 +360,50 @@ def gromov_triple_check(bodies: Sequence[Body]) -> Report:
     if len(bodies) != 3:
         raise ValueError(f"the triple comparison needs exactly 3 bodies, got {len(bodies)}")
     for b in bodies:
-        if body_dim(b) != 3:
+        if b.dim != 3:
             raise ValueError("the triple comparison lives in dimension 3")
     a1, a2, a3 = bodies
     v123 = mixed_volume([a1, a2, a3])
     v112 = mixed_volume([a1, a1, a2])
     v223 = mixed_volume([a2, a2, a3])
     v331 = mixed_volume([a3, a3, a1])
-    lhs = v123**3
-    rhs = v112 * v223 * v331
+    cert = triple_certificate(v123, v112, v223, v331)
     values = (
         f"V(A1,A2,A3) = {v123}, V(A1,A1,A2) = {v112}, "
-        f"V(A2,A2,A3) = {v223}, V(A3,A3,A1) = {v331}; cubed comparison {lhs} vs {rhs}"
+        f"V(A2,A2,A3) = {v223}, V(A3,A3,A1) = {v331}; cubed comparison {cert.lhs} vs {cert.rhs}"
     )
-    if lhs >= rhs:
+    if cert.lhs >= cert.rhs:
         return Report(verdict=HOLDS, certificates=(), checked_count=1, diagnostic=values)
+    return Report(verdict=FAILS, certificates=(cert,), checked_count=1, diagnostic=values)
+
+
+def triple_certificate(v123: Fraction, v112: Fraction, v223: Fraction, v331: Fraction) -> Certificate:
+    """The comparison V(1,1,1)^3 vs V(2,1,0) * V(0,2,1) * V(1,0,2), violated
+    or not, from the four mixed volumes of a body triple."""
     third = Fraction(1, 3)
-    cert = Certificate(
+    return Certificate(
         center=(1, 1, 1),
         support=(((2, 1, 0), third), ((0, 2, 1), third), ((1, 0, 2), third)),
-        lhs=lhs,
-        rhs=rhs,
+        lhs=v123**3,
+        rhs=v112 * v223 * v331,
         comparison="V(1,1,1)^3 vs V(2,1,0)^1 * V(0,2,1)^1 * V(1,0,2)^1",
     )
-    return Report(verdict=FAILS, certificates=(cert,), checked_count=1, diagnostic=values)
 
 
 # ---------------------------------------------------------------------------
 # Brunn-Minkowski surrogate and the permanent bound
 
 
-def minkowski_sequence_check(a: Body, b: Body, n: int, *, digits: int = 64) -> Report:
+def minkowski_sequence_check(a: Body, b: Body, n: int) -> Report:
     """Log-concavity of V_j = V(A,...,A,B,...,B) (j copies of A), the exact
     surrogate that implies the root-form volume inequality for A + B.
 
-    The root form itself is also evaluated in ``digits``-digit floating point
-    and reported as a non-authoritative diagnostic.
+    The root form itself is also evaluated in 64-digit floating point and
+    reported as a non-authoritative diagnostic.
     """
-    if body_dim(a) != n or body_dim(b) != n:
+    import mpmath  # only this diagnostic needs it, and it is slow to import
+
+    if a.dim != n or b.dim != n:
         raise ValueError("both bodies must live in the stated dimension")
     seq = [mixed_volume([a] * j + [b] * (n - j)) for j in range(n + 1)]
     checked = 0
@@ -456,7 +426,7 @@ def minkowski_sequence_check(a: Body, b: Body, n: int, *, digits: int = 64) -> R
                     values,
                 )
             )
-    with mpmath.workdps(digits):
+    with mpmath.workdps(64):
         va = mpmath.mpf(seq[n].numerator) / seq[n].denominator
         vb = mpmath.mpf(seq[0].numerator) / seq[0].denominator
         vsum = volume(minkowski_sum([(Fraction(1), a), (Fraction(1), b)]))
@@ -464,7 +434,7 @@ def minkowski_sequence_check(a: Body, b: Body, n: int, *, digits: int = 64) -> R
         gap = mpmath.root(vs, n) - mpmath.root(va, n) - mpmath.root(vb, n)
         diagnostic = (
             f"root form V(A+B)^(1/{n}) - V(A)^(1/{n}) - V(B)^(1/{n}) "
-            f"= {mpmath.nstr(gap, 12)} ({digits}-digit float, non-authoritative)"
+            f"= {mpmath.nstr(gap, 12)} (64-digit float, non-authoritative)"
         )
     if checked == 0:
         return Report(verdict=VACUOUS, certificates=(), checked_count=0, diagnostic=diagnostic)
@@ -497,7 +467,7 @@ def vdw_check(m: Matrix) -> VdwResult:
             if m[i][j] < 0:
                 raise PreconditionError(f"entry ({i},{j}) is negative: {m[i][j]}")
     for i in range(n):
-        s = sum(m.row(i), Fraction(0))
+        s = sum(m[i], Fraction(0))
         if s != 1:
             raise PreconditionError(f"row {i} sums to {s}, expected 1")
     for j in range(n):

@@ -20,15 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
-from math import comb, factorial
-from typing import Iterable, Mapping, Sequence
+from math import comb, factorial, prod
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .bodies import Body, body_dim, minkowski_sum, volume
+from .bodies import Body, minkowski_sum, volume
 from .numerics import (
     Matrix,
     SymMatrix,
+    as_index,
     as_rational,
     determinant,
+    eliminate,
     format_rational,
     permanent,
     solve_linear,
@@ -100,7 +102,7 @@ class VolumePolynomial:
         coeffs: dict[MultiIndex, Fraction] = {}
         for item in doc:
             try:
-                index = tuple(int(x) for x in item["index"])
+                index = tuple(as_index(x) for x in item["index"])
                 coeffs[index] = as_rational(item["value"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed polynomial entry {item!r}: {exc}") from exc
@@ -116,7 +118,7 @@ class BodyTuple:
     def __post_init__(self):
         if not self.bodies:
             raise ValueError("body tuple must be nonempty")
-        dims = {body_dim(b) for b in self.bodies}
+        dims = {b.dim for b in self.bodies}
         if len(dims) != 1:
             raise ValueError(f"bodies live in different ambient dimensions: {sorted(dims)}")
 
@@ -126,7 +128,7 @@ class BodyTuple:
 
     @property
     def n(self) -> int:
-        return body_dim(self.bodies[0])
+        return self.bodies[0].dim
 
 
 @dataclass(frozen=True)
@@ -154,27 +156,19 @@ def mixed_volume(bodies: Sequence[Body]) -> Fraction:
 
         V = (1/n!) Σ_{∅ ≠ S ⊆ [n]} (−1)^{n−|S|} Vol(Σ_{i∈S} A_i)
 
-    (the empty set contributes Vol(∅) = 0). Symmetric in its arguments and
-    equal to Vol(A) when all arguments are the same body A.
+    (the empty set contributes Vol(∅) = 0), the coefficient at (1, ..., 1)
+    of the tuple's volume polynomial.  Symmetric in its arguments and equal
+    to Vol(A) when all arguments are the same body A.
     """
     n = len(bodies)
     if n == 0:
         raise ValueError("mixed volume needs at least one body")
     for b in bodies:
-        if body_dim(b) != n:
+        if b.dim != n:
             raise ValueError(
-                f"mixed volume needs exactly n bodies in dimension n; got {n} bodies, one of dimension {body_dim(b)}"
+                f"mixed volume needs exactly n bodies in dimension n; got {n} bodies, one of dimension {b.dim}"
             )
-    total = Fraction(0)
-    one = Fraction(1)
-    for mask in range(1, 1 << n):
-        parts = [(one, bodies[i]) for i in range(n) if mask >> i & 1]
-        v = volume(minkowski_sum(parts))
-        if (n - mask.bit_count()) & 1:
-            total -= v
-        else:
-            total += v
-    return total / factorial(n)
+    return _polarize(lambda c: _weighted_volume(bodies, c), (1,) * n, n, {})
 
 
 def mixed_volume_boxes(sides: Matrix) -> Fraction:
@@ -205,28 +199,28 @@ def _weighted_volume(bodies: Sequence[Body], weights: Sequence[int]) -> Fraction
     return volume(minkowski_sum(parts))
 
 
-def _polarize_index(
-    bodies: Sequence[Body],
+def _polarize(
+    evaluate: Callable[[MultiIndex], Fraction],
     index: MultiIndex,
     n: int,
-    cache: dict[tuple[int, ...], Fraction] | None,
+    cache: dict[MultiIndex, Fraction],
 ) -> Fraction:
-    # Group the 2^n polarization subsets of the multiset expansion by how many
-    # copies of each distinct body they pick: subsets with count vector c
-    # contribute with multiplicity Π_j C(i_j, c_j).
+    # The coefficient at `index` of a degree-n form, normalized by the
+    # multinomial factor, from its values evaluate(c) = F(Σ c_j A_j) at integer
+    # weights c (F is Vol or det).  Inclusion-exclusion over the 2^n subsets of
+    # the multiset with i_j copies of A_j, grouped by how many copies c_j they
+    # pick: subsets with count vector c contribute with multiplicity
+    # Π_j C(i_j, c_j).  `cache` keeps each evaluate(c) for every coefficient
+    # of the same tuple.
     total = Fraction(0)
     ranges = [range(i + 1) for i in index]
     for c in product(*ranges):
         size = sum(c)
         if size == 0:
             continue
-        if cache is None:
-            v = _weighted_volume(bodies, c)
-        else:
-            v = cache.get(c)
-            if v is None:
-                v = _weighted_volume(bodies, c)
-                cache[c] = v
+        v = cache.get(c)
+        if v is None:
+            v = cache[c] = evaluate(c)
         mult = 1
         for i_j, c_j in zip(index, c):
             mult *= comb(i_j, c_j)
@@ -238,19 +232,19 @@ def _polarize_index(
     return total / factorial(n)
 
 
-def volume_polynomial(t: BodyTuple, *, memoize: bool = False) -> VolumePolynomial:
-    """All mixed volumes V_I of the tuple, one polarization per coefficient.
+def _polarized_polynomial(evaluate: Callable[[MultiIndex], Fraction], k: int, n: int) -> VolumePolynomial:
+    cache: dict[MultiIndex, Fraction] = {}
+    coeffs = {index: _polarize(evaluate, index, n, cache) for index in discrete_simplex(k, n)}
+    return VolumePolynomial(k=k, n=n, coefficients=coeffs)
 
-    With ``memoize=True`` the volumes of weighted Minkowski sums are shared
-    across coefficients; results are identical either way.
+
+def volume_polynomial(t: BodyTuple) -> VolumePolynomial:
+    """All mixed volumes V_I of the tuple by polarization.
+
+    The volume of each weighted Minkowski sum is computed once and shared by
+    every coefficient that needs it.
     """
-    n = t.n
-    cache: dict[tuple[int, ...], Fraction] | None = {} if memoize else None
-    coeffs = {
-        index: _polarize_index(t.bodies, index, n, cache)
-        for index in discrete_simplex(t.k, n)
-    }
-    return VolumePolynomial(k=t.k, n=n, coefficients=coeffs)
+    return _polarized_polynomial(lambda c: _weighted_volume(t.bodies, c), t.k, t.n)
 
 
 def volume_polynomial_interpolated(t: BodyTuple) -> VolumePolynomial:
@@ -269,25 +263,11 @@ def volume_polynomial_interpolated(t: BodyTuple) -> VolumePolynomial:
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     # Row echelon copy used only for rank tracking.
-    echelon: list[list[Fraction]] = []
+    echelon: list[tuple[int, list[Fraction]]] = []
 
     def try_add(lam: tuple[int, ...]) -> None:
-        row = [
-            Fraction(mult) * Fraction(
-                # λ^I as an exact integer
-                _int_power_product(lam, idx)
-            )
-            for mult, idx in zip(mults, indices)
-        ]
-        cand = list(row)
-        for piv in echelon:
-            lead = next(j for j in range(m) if piv[j] != 0)
-            if cand[lead] != 0:
-                f = cand[lead] / piv[lead]
-                for j in range(lead, m):
-                    cand[j] -= f * piv[j]
-        if any(x != 0 for x in cand):
-            echelon.append(cand)
+        row = [Fraction(mult * prod(map(pow, lam, idx))) for mult, idx in zip(mults, indices)]
+        if eliminate(echelon, list(row), m):
             rows.append(row)
             rhs.append(_weighted_volume(t.bodies, lam))
 
@@ -305,13 +285,6 @@ def volume_polynomial_interpolated(t: BodyTuple) -> VolumePolynomial:
     return VolumePolynomial(k=k, n=n, coefficients=dict(zip(indices, solution)))
 
 
-def _int_power_product(lam: tuple[int, ...], index: MultiIndex) -> int:
-    p = 1
-    for base, exp in zip(lam, index):
-        p *= base**exp
-    return p
-
-
 def mixed_discriminant(matrices: Sequence[SymMatrix]) -> Fraction:
     """D(A_1, ..., A_n) by polarization with determinants in place of volumes."""
     n = len(matrices)
@@ -323,18 +296,7 @@ def mixed_discriminant(matrices: Sequence[SymMatrix]) -> Fraction:
             raise ValueError(
                 f"mixed discriminant needs exactly n matrices of dimension n; got {n} matrices, one of dimension {m.dim}"
             )
-    total = Fraction(0)
-    for mask in range(1, 1 << n):
-        chosen = [mats[i] for i in range(n) if mask >> i & 1]
-        acc = chosen[0]
-        for m in chosen[1:]:
-            acc = acc + m
-        d = determinant(acc)
-        if (n - mask.bit_count()) & 1:
-            total -= d
-        else:
-            total += d
-    return total / factorial(n)
+    return _polarize(lambda c: _weighted_det(mats, c), (1,) * n, n, {})
 
 
 def _weighted_det(matrices: Sequence[SymMatrix], weights: Sequence[int]) -> Fraction:
@@ -343,7 +305,7 @@ def _weighted_det(matrices: Sequence[SymMatrix], weights: Sequence[int]) -> Frac
     for c, m in zip(weights, matrices):
         if c:
             for i in range(n):
-                row = m.row(i)
+                row = m[i]
                 for j in range(n):
                     acc[i][j] += c * row[j]
     return determinant(Matrix(acc))
@@ -352,22 +314,4 @@ def _weighted_det(matrices: Sequence[SymMatrix], weights: Sequence[int]) -> Frac
 def discriminant_polynomial(t: MatrixTuple) -> VolumePolynomial:
     """All mixed discriminants D_I of the tuple; coefficients may be negative
     for indefinite matrices."""
-    n = t.n
-    coeffs: dict[MultiIndex, Fraction] = {}
-    for index in discrete_simplex(t.k, n):
-        total = Fraction(0)
-        ranges = [range(i + 1) for i in index]
-        for c in product(*ranges):
-            size = sum(c)
-            if size == 0:
-                continue
-            mult = 1
-            for i_j, c_j in zip(index, c):
-                mult *= comb(i_j, c_j)
-            term = mult * _weighted_det(t.matrices, c)
-            if (n - size) & 1:
-                total -= term
-            else:
-                total += term
-        coeffs[index] = total / factorial(n)
-    return VolumePolynomial(k=t.k, n=n, coefficients=coeffs)
+    return _polarized_polynomial(lambda c: _weighted_det(t.matrices, c), t.k, t.n)

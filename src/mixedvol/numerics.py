@@ -2,19 +2,27 @@
 positive-definiteness, and an exact equality-form LP solver.
 
 Every correctness-bearing value in this package is a ``fractions.Fraction``;
-nothing in this module touches floating point except the explicitly opt-in
-fast path of :func:`permanent`.  All functions are pure and operate on
-immutable inputs, so concurrent use is safe.
+nothing in this module touches floating point.  All functions but
+:func:`eliminate`, which updates the echelon it is given, are pure and operate
+on immutable inputs, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
+
+# Bound on numeric strings: their length, and the decimal exponent that
+# Fraction would otherwise expand into 10**exponent.  It equals Python's
+# default int-to-str limit, which the CLI lifts so that large exact answers
+# print, and so keeps inputs bounded either way.
+MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(_\d+)*)\s*\Z")
 
 
 class DimensionError(ValueError):
@@ -37,11 +45,29 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if len(value) > MAX_DIGITS:
+            raise ValueError(f"rational string of {len(value)} characters exceeds {MAX_DIGITS}")
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_DIGITS:
+            raise ValueError(f"decimal exponent {exponent[1]} exceeds {MAX_DIGITS} in absolute value")
         try:
             return Fraction(value)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"expected an exact rational (Fraction, int, or string), got {type(value).__name__}")
+
+
+def as_index(value: object) -> int:
+    """``int(value)`` for an integer field of a document, with strings
+    bounded like those of :func:`as_rational`."""
+    if isinstance(value, str) and len(value) > MAX_DIGITS:
+        raise ValueError(f"integer string of {len(value)} characters exceeds {MAX_DIGITS}")
+    return int(value)
+
+
+def parse_json(text: str):
+    """``json.loads`` with integer literals bounded like numeric strings."""
+    return json.loads(text, parse_int=as_index)
 
 
 def format_rational(value: Fraction) -> str:
@@ -75,16 +101,6 @@ class Matrix:
     def cols(self) -> int:
         return len(self._rows[0]) if self._rows else 0
 
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        return tuple(x for row in self._rows for x in row)
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._rows]
-
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         return self._rows[i]
 
@@ -93,9 +109,6 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self._rows)) if self._rows else Matrix([])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -149,32 +162,21 @@ class SymMatrix(Matrix):
         return cls([[vals[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)])
 
 
-def permanent(m: Matrix, *, use_float: bool = False) -> Fraction | float:
+def permanent(m: Matrix) -> Fraction:
     """Permanent of a square matrix by Ryser's inclusion-exclusion.
 
     Column subsets are walked in Gray-code order so each step updates the
     per-row sums by a single column.  The empty matrix has permanent 1.
-
-    ``use_float=True`` runs the same loop in double precision and returns a
-    float.  That path exists for benchmarks only; nothing that decides an
-    inequality verdict may use it.
     """
     if not m.is_square():
         raise DimensionError(f"permanent requires a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
     if n == 0:
-        return 1.0 if use_float else Fraction(1)
+        return Fraction(1)
 
-    if use_float:
-        cols = [[float(m[i][j]) for i in range(n)] for j in range(n)]
-        sums = [0.0] * n
-        zero = 0.0
-    else:
-        cols = [[m[i][j] for i in range(n)] for j in range(n)]
-        sums = [Fraction(0)] * n
-        zero = Fraction(0)
-
-    total = zero
+    cols = [[m[i][j] for i in range(n)] for j in range(n)]
+    sums = [Fraction(0)] * n
+    total = Fraction(0)
     gray = 0
     for t in range(1, 1 << n):
         j = (t & -t).bit_length() - 1
@@ -206,7 +208,7 @@ def determinant(m: Matrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    a = m.row_list()
+    a = [list(row) for row in m]
     sign = 1
     prev = Fraction(1)
     for k in range(n - 1):
@@ -224,60 +226,69 @@ def determinant(m: Matrix) -> Fraction:
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
 
-def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Exact solution of ``a @ x = b`` for square nonsingular ``a``.
+def eliminate(echelon: list[tuple[int, list[Fraction]]], row: list[Fraction], width: int) -> bool:
+    """One step of forward elimination; every exact solve and rank goes through it.
 
-    Raises :class:`SingularSystemError` when ``a`` is singular; the caller
-    decides the fallback.
+    ``echelon`` holds (pivot column, row) pairs in row echelon form: sorted
+    by pivot column, each row zero left of its pivot.  ``row`` is reduced in
+    place against the pivots it meets, then inserted in order with its own
+    pivot (its first nonzero entry among the first ``width`` columns) if it
+    has one.  Columns from ``width`` on, such as a right-hand side, are
+    carried along.  Returns whether the row was inserted, i.e. whether it
+    raised the rank.
     """
-    if not a.is_square():
-        raise DimensionError(f"solve_linear requires a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    rhs = [as_rational(x) for x in b]
-    if len(rhs) != n:
-        raise DimensionError(f"right-hand side length {len(rhs)} != matrix dimension {n}")
-    aug = [list(a.row(i)) + [rhs[i]] for i in range(n)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot is None:
-            raise SingularSystemError("matrix is singular")
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        pk = aug[k][k]
-        for i in range(k + 1, n):
-            f = aug[i][k] / pk
-            if f:
-                for j in range(k, n + 1):
-                    aug[i][j] -= f * aug[k][j]
+    first = next((j for j in range(width) if row[j]), None)
+    i = 0
+    while first is not None and i < len(echelon):
+        lead, pivot = echelon[i]
+        if first < lead:
+            break  # every later pivot row is zero in column `first`
+        if first == lead:
+            f = row[lead] / pivot[lead]
+            for j in range(lead, len(row)):
+                row[j] -= f * pivot[j]
+            first = next((j for j in range(lead + 1, width) if row[j]), None)
+        i += 1
+    if first is None:
+        return False
+    echelon.insert(i, (first, row))
+    return True
+
+
+def solve_linear(a: Matrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
+    """Exact solution of ``a @ x = b`` when it is unique; ``a`` may have more
+    rows than columns.
+
+    Raises :class:`SingularSystemError` when there is no solution or more
+    than one; the caller decides the fallback.
+    """
+    if len(b) != a.rows:
+        raise DimensionError(f"right-hand side length {len(b)} != row count {a.rows}")
+    n = a.cols
+    echelon: list[tuple[int, list[Fraction]]] = []
+    for coeffs, rhs in zip(a, b):
+        row = [*coeffs, as_rational(rhs)]
+        if not eliminate(echelon, row, n) and row[n]:
+            raise SingularSystemError("system is inconsistent")
+    if len(echelon) < n:
+        raise SingularSystemError("matrix is singular")
     x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        s = aug[k][n]
-        for j in range(k + 1, n):
-            s -= aug[k][j] * x[j]
-        x[k] = s / aug[k][k]
+    for lead, row in reversed(echelon):
+        s = row[n]
+        for j in range(lead + 1, n):
+            s -= row[j] * x[j]
+        x[lead] = s / row[lead]
     return tuple(x)
 
 
 def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Exact rank of a sequence of rational row vectors."""
-    work = [list(r) for r in rows if any(x != 0 for x in r)]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols:
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col] / pv
-            if f:
-                for j in range(col, ncols):
-                    work[i][j] -= f * work[rank][j]
-        rank += 1
-        col += 1
-    return rank
+    echelon: list[tuple[int, list[Fraction]]] = []
+    for r in rows:
+        if len(echelon) == len(r):
+            break  # full column rank: later rows cannot raise it
+        eliminate(echelon, list(r), len(r))
+    return len(echelon)
 
 
 def is_positive_definite(m: SymMatrix) -> bool:
@@ -286,7 +297,7 @@ def is_positive_definite(m: SymMatrix) -> bool:
         m = SymMatrix(m)
     n = m.dim
     for k in range(1, n + 1):
-        minor = Matrix([m.row(i)[:k] for i in range(k)])
+        minor = Matrix([m[i][:k] for i in range(k)])
         if determinant(minor) <= 0:
             return False
     return True
@@ -332,7 +343,7 @@ def simplex_max(
     # Tableau rows: [original vars | artificial vars | rhs], one artificial per row.
     tab: list[list[Fraction]] = []
     for i in range(m):
-        row = list(eq_lhs.row(i))
+        row = list(eq_lhs[i])
         rhs = b[i]
         if rhs < 0:
             row = [-x for x in row]

@@ -27,9 +27,10 @@ from .inequalities import (
     Certificate,
     envelope_vertex_comparisons,
     recheck_certificate,
+    triple_certificate,
 )
 from .mixed import BodyTuple, VolumePolynomial, discrete_simplex, volume_polynomial
-from .numerics import Matrix, as_rational, format_rational, permanent
+from .numerics import Matrix, as_index, as_rational, format_rational, parse_json, permanent
 
 EXHAUSTIVE = "exhaustive-grid"
 RANDOM = "random"
@@ -108,7 +109,7 @@ class Finding:
     def from_json(cls, doc: dict) -> "Finding":
         try:
             return cls(
-                index=int(doc["candidate"]),
+                index=as_index(doc["candidate"]),
                 side_matrix=Matrix(doc["side_matrix"]),
                 certificate=Certificate.from_json(doc["certificate"]),
                 violation_ratio=as_rational(doc["violation_ratio"]),
@@ -197,16 +198,23 @@ def _digits_of(index: int, base: int, cells: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _triple_ratio(sp: _Space, digits: Sequence[int]) -> Fraction:
-    # Integer-scaled comparison: each V scales by denom^n * n!, and both sides
-    # of V(1,2,3)^3 vs the cyclic product carry the same total factor, so the
-    # scaled permanents compare directly and their ratio is the true ratio.
+def _triple_perms(sp: _Space, digits: Sequence[int]) -> tuple[int, int, int, int]:
+    # V(1,2,3), V(1,1,2), V(2,2,3) and V(3,3,1) of the candidate, each scaled
+    # by denom^n * n! to an integer permanent.
     g = sp.int_grid
     r1 = (g[digits[0]], g[digits[1]], g[digits[2]])
     r2 = (g[digits[3]], g[digits[4]], g[digits[5]])
     r3 = (g[digits[6]], g[digits[7]], g[digits[8]])
-    lhs = _perm3(r1, r2, r3) ** 3
-    rhs = _perm3(r1, r1, r2) * _perm3(r2, r2, r3) * _perm3(r3, r3, r1)
+    return _perm3(r1, r2, r3), _perm3(r1, r1, r2), _perm3(r2, r2, r3), _perm3(r3, r3, r1)
+
+
+def _triple_ratio(sp: _Space, digits: Sequence[int]) -> Fraction:
+    # Integer-scaled comparison: each V scales by denom^n * n!, and both sides
+    # of V(1,2,3)^3 vs the cyclic product carry the same total factor, so the
+    # scaled permanents compare directly and their ratio is the true ratio.
+    p123, p112, p223, p331 = _triple_perms(sp, digits)
+    lhs = p123**3
+    rhs = p112 * p223 * p331
     if rhs == 0:
         return Fraction(0)
     # A row-support argument rules out lhs = 0 with rhs > 0 for boxes, but the
@@ -218,9 +226,7 @@ def _triple_ratio(sp: _Space, digits: Sequence[int]) -> Fraction:
 
 def _box_polynomial(sp: _Space, digits: Sequence[int]) -> VolumePolynomial:
     # Permanent-route polynomial of the candidate boxes, exact Fractions.
-    rows = [
-        [sp.grid[digits[i * sp.n + j]] for j in range(sp.n)] for i in range(sp.k)
-    ]
+    rows = _candidate_matrix(sp, digits)
     nfact = factorial(sp.n)
     coeffs = {}
     for idx in discrete_simplex(sp.k, sp.n):
@@ -238,27 +244,11 @@ def _candidate_matrix(sp: _Space, digits: Sequence[int]) -> Matrix:
 
 
 def _triple_finding(sp: _Space, digits: Sequence[int], index: int) -> Finding:
-    side = _candidate_matrix(sp, digits)
     scale = Fraction(1, sp.denom**sp.n * factorial(sp.n))
-    g = sp.int_grid
-    r1 = (g[digits[0]], g[digits[1]], g[digits[2]])
-    r2 = (g[digits[3]], g[digits[4]], g[digits[5]])
-    r3 = (g[digits[6]], g[digits[7]], g[digits[8]])
-    v123 = _perm3(r1, r2, r3) * scale
-    v112 = _perm3(r1, r1, r2) * scale
-    v223 = _perm3(r2, r2, r3) * scale
-    v331 = _perm3(r3, r3, r1) * scale
-    third = Fraction(1, 3)
-    cert = Certificate(
-        center=(1, 1, 1),
-        support=(((2, 1, 0), third), ((0, 2, 1), third), ((1, 0, 2), third)),
-        lhs=v123**3,
-        rhs=v112 * v223 * v331,
-        comparison="V(1,1,1)^3 vs V(2,1,0)^1 * V(0,2,1)^1 * V(1,0,2)^1",
-    )
+    cert = triple_certificate(*(p * scale for p in _triple_perms(sp, digits)))
     return Finding(
         index=index,
-        side_matrix=side,
+        side_matrix=_candidate_matrix(sp, digits),
         certificate=cert,
         violation_ratio=cert.rhs / cert.lhs,
     )
@@ -304,11 +294,6 @@ def _scan_range(space: SearchSpace, config: SearchConfig, start: int, stop: int)
         if finding is not None:
             out.append(finding)
     return out
-
-
-def _check_target(space: SearchSpace, config: SearchConfig) -> None:
-    if config.target == TRIPLE and (space.k != 3 or space.n != 3):
-        raise ValueError("the triple-inequality target needs k = 3 bodies in dimension 3")
 
 
 def _finish(found: list[Finding], evaluations: int) -> SearchResult:
@@ -379,7 +364,8 @@ def search(space: SearchSpace, config: SearchConfig, *, jobs: int = 1) -> Search
     identical for every worker count.  Hill-climb walks are
     sequential by nature and ignore ``jobs``.
     """
-    _check_target(space, config)
+    if config.target == TRIPLE and (space.k != 3 or space.n != 3):
+        raise ValueError("the triple-inequality target needs k = 3 bodies in dimension 3")
     if config.mode == HILL_CLIMB:
         return _hill_climb(space, config)
 
@@ -453,7 +439,7 @@ def findings_from_jsonl(text: str) -> tuple[list[Finding], dict | None]:
         line = line.strip()
         if not line:
             continue
-        doc = json.loads(line)
+        doc = parse_json(line)
         if isinstance(doc, dict) and doc.get("summary"):
             summary = doc
         else:

@@ -6,11 +6,16 @@ fault, 3 failing verdict or nonempty findings stream.
 
 import io
 import json
+import os
+import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mixedvol
 from mixedvol.bodies import AxisBox
 from mixedvol.cli import EXIT_FAILS, EXIT_INPUT, EXIT_OK, run
 from mixedvol.inequalities import gromov_concavity
@@ -171,7 +176,7 @@ def test_triple_check_needs_three_bodies(tmp_path, capsys):
 def test_bm_check_equal_cubes(tmp_path, capsys):
     doc = {"dimension": 3, "bodies": [UNIT_CUBE, UNIT_CUBE]}
     path = write_doc(tmp_path, "b.json", doc)
-    assert run(["bm-check", "--digits", "30", path]) == EXIT_OK
+    assert run(["bm-check", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("verdict: holds")
     assert "non-authoritative" in out
@@ -432,3 +437,39 @@ def test_zero_denominator_findings_stream_is_input_error(tmp_path, capsys, field
     path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     assert run(["verify", str(path)]) == EXIT_INPUT
     assert "internal error" not in capsys.readouterr().err
+
+
+# -- large exact answers ------------------------------------------------------
+
+SEVENS = "7" * 1200
+
+
+def command(args, stdin_text):
+    """Run the mixedvol command in a fresh interpreter, as its users do."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mixedvol.__file__).parents[1]))
+    argv = [sys.executable, "-m", "mixedvol.cli", *args]
+    return subprocess.run(argv, input=stdin_text, capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_perm_prints_answer_beyond_int_str_limit(fmt):
+    # Each term of the 4x4 permanent has 4800 digits, beyond Python's default
+    # limit of 4300 for int-to-str conversion.
+    done = command(["perm", "--format", fmt], json.dumps([[SEVENS] * 4] * 4))
+    assert done.returncode == EXIT_OK, done.stderr
+    expected = str(Decimal(24 * int(SEVENS) ** 4))  # Decimal prints any integer
+    assert (done.stdout if fmt == "text" else json.loads(done.stdout)["value"] + "\n") == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "args, stdin_text",
+    [
+        (["perm"], "[[" + "9" * 5000 + "]]"),
+        (["verify"], json.dumps(dict(FLAT_FINDING_DOC, candidate="9" * 5000))),
+    ],
+    ids=["json-literal", "index-string"],
+)
+def test_long_integer_input_is_input_error(args, stdin_text):
+    done = command(args, stdin_text)
+    assert done.returncode == EXIT_INPUT
+    assert "exceeds 4300" in done.stderr

@@ -9,7 +9,6 @@ from mixedvol.inequalities import (
     HOLDS,
     VACUOUS,
     Certificate,
-    LogValue,
     PreconditionError,
     Report,
     af_check_discriminants,
@@ -33,13 +32,6 @@ FLAT_POLY = volume_polynomial(BodyTuple((FLAT_A1, FLAT_A2, FLAT_A3)))
 
 def random_boxes(rng, n, count, hi=4):
     return [AxisBox.from_lengths([Fraction(rng.randint(0, hi)) for _ in range(n)]) for _ in range(count)]
-
-
-def test_log_value_tags():
-    assert LogValue.of(Fraction(2)).is_finite
-    assert not LogValue.of(Fraction(0)).is_finite
-    with pytest.raises(ValueError):
-        LogValue.of(Fraction(-1))
 
 
 def test_certificate_validates_convex_combination():

@@ -183,12 +183,6 @@ def test_volume_polynomial_two_segments():
     }
 
 
-def test_memoized_polynomial_identical():
-    vp = volume_polynomial(FLAT_TUPLE)
-    vpm = volume_polynomial(FLAT_TUPLE, memoize=True)
-    assert vp.coefficients == vpm.coefficients
-
-
 def test_interpolated_polynomial_matches_direct():
     rng = Random(3305)
     for _ in range(15):
