@@ -11,20 +11,24 @@ diagnostic attached to the Brunn-Minkowski surrogate check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import factorial, lcm
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 from .bodies import Body, minkowski_sum, volume
 from .mixed import (
+    BodyTuple,
+    MatrixTuple,
     MultiIndex,
     VolumePolynomial,
+    coefficients,
     discrete_simplex,
-    mixed_discriminant,
-    mixed_volume,
+    mixed_discriminant,  # noqa: F401 - perfbench/spans.py traces this attribute
+    mixed_volume,  # noqa: F401 - perfbench/spans.py traces this attribute
+    volume_polynomial,
 )
 from .numerics import (
     Matrix,
@@ -125,6 +129,11 @@ class Report:
         if (self.verdict == FAILS) != bool(self.certificates):
             raise ValueError("certificates must be present exactly for a failing verdict")
 
+    @classmethod
+    def of(cls, certificates: Sequence[Certificate], checked: int, diagnostic: str | None = None) -> "Report":
+        """A failing verdict with these certificates, or a holding one without any."""
+        return cls(FAILS if certificates else HOLDS, tuple(certificates), checked, diagnostic)
+
     @property
     def holds(self) -> bool:
         return self.verdict == HOLDS
@@ -140,11 +149,12 @@ class Report:
         return doc
 
 
-def _power_certificate(
+def power_certificate(
     center: MultiIndex,
     support: Sequence[tuple[MultiIndex, Fraction]],
-    values: dict[MultiIndex, Fraction],
+    values: Mapping[MultiIndex, Fraction],
 ) -> Certificate:
+    """The comparison V_center^q vs Π V_J^{p_J}, violated or not; q is the weights' common denominator."""
     q = lcm(*(w.denominator for _, w in support))
     lhs = values[center] ** q
     rhs = Fraction(1)
@@ -160,7 +170,7 @@ def _power_certificate(
 def recheck_certificate(vp: VolumePolynomial, cert: Certificate) -> bool:
     """Recompute both sides of a certificate from the polynomial; exact match."""
     try:
-        fresh = _power_certificate(cert.center, cert.support, dict(vp.coefficients))
+        fresh = power_certificate(cert.center, cert.support, vp.coefficients)
     except (KeyError, ValueError):
         return False
     return fresh.lhs == cert.lhs and fresh.rhs == cert.rhs and cert.lhs < cert.rhs
@@ -170,26 +180,18 @@ def recheck_certificate(vp: VolumePolynomial, cert: Certificate) -> bool:
 # Alexandrov-Fenchel
 
 
-def _af_report(items: Sequence, mixed: Callable[[list], Fraction], what: str) -> Report:
-    # The squared comparison varies the first two items and fixes the rest.
-    n = len(items)
-    first, second, *rest = items
-    v12 = mixed([first, second, *rest])
-    v11 = mixed([first, first, *rest])
-    v22 = mixed([second, second, *rest])
-    lhs = v12 * v12
-    rhs = v11 * v22
+def _af_report(t: BodyTuple | MatrixTuple, what: str) -> Report:
+    # The squared comparison varies the first two items and fixes the rest:
+    # I = e1 + e2 + (1,...,1) on the remaining slots, halfway between the
+    # doubled indices.
+    rest = (1,) * (t.n - 2)
+    center, a, b = (1, 1) + rest, (2, 0) + rest, (0, 2) + rest
+    v12, v11, v22 = coefficients(t, [center, a, b])
+    lhs, rhs = v12 * v12, v11 * v22
     values = (
         f"{what}(1,2,rest) = {v12}, {what}(1,1,rest) = {v11}, {what}(2,2,rest) = {v22}; "
         f"squared comparison {lhs} vs {rhs}"
     )
-    if lhs >= rhs:
-        return Report(verdict=HOLDS, certificates=(), checked_count=1, diagnostic=values)
-    # I = e1 + e2 + (1,...,1) on the remaining slots, halfway between the
-    # doubled indices.
-    center = tuple([1, 1] + [1] * (n - 2))
-    a = tuple([2, 0] + [1] * (n - 2))
-    b = tuple([0, 2] + [1] * (n - 2))
     half = Fraction(1, 2)
     cert = Certificate(
         center=center,
@@ -198,7 +200,7 @@ def _af_report(items: Sequence, mixed: Callable[[list], Fraction], what: str) ->
         rhs=rhs,
         comparison=f"{what}(1,2,rest)^2 vs {what}(1,1,rest)*{what}(2,2,rest)",
     )
-    return Report(verdict=FAILS, certificates=(cert,), checked_count=1, diagnostic=values)
+    return Report.of((cert,) if lhs < rhs else (), 1, values)
 
 
 def af_check_volumes(bodies: Sequence[Body]) -> Report:
@@ -208,7 +210,7 @@ def af_check_volumes(bodies: Sequence[Body]) -> Report:
     """
     if len(bodies) < 2:
         raise ValueError("the comparison needs at least two bodies")
-    return _af_report(bodies, mixed_volume, "V")
+    return _af_report(BodyTuple.square(bodies), "V")
 
 
 def af_check_discriminants(matrices: Sequence[SymMatrix]) -> Report:
@@ -219,7 +221,7 @@ def af_check_discriminants(matrices: Sequence[SymMatrix]) -> Report:
     for pos, m in enumerate(matrices):
         if not is_positive_definite(m):
             raise PreconditionError(f"matrix {pos} is not positive definite")
-    return _af_report(matrices, mixed_discriminant, "D")
+    return _af_report(MatrixTuple.square(matrices), "D")
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +254,10 @@ def segment_concavity(vp: VolumePolynomial) -> Report:
             rhs = coeffs[plus] * coeffs[minus]
             if lhs < rhs:
                 half = Fraction(1, 2)
-                certs.append(
-                    _power_certificate(index, ((plus, half), (minus, half)), dict(coeffs))
-                )
+                certs.append(power_certificate(index, ((plus, half), (minus, half)), coeffs))
     if checked == 0:
         return Report(verdict=VACUOUS, certificates=(), checked_count=0)
-    if certs:
-        return Report(verdict=FAILS, certificates=tuple(certs), checked_count=checked)
-    return Report(verdict=HOLDS, certificates=(), checked_count=checked)
+    return Report.of(certs, checked)
 
 
 def _solve_unique(cols: list[tuple[int, ...]], rhs: Sequence[int]) -> tuple[Fraction, ...] | None:
@@ -305,7 +303,7 @@ def _envelope_scan(vp: VolumePolynomial) -> tuple[list[Certificate], int]:
     # table entries whose support avoids every V_J = 0 (an empty polytope
     # keeps none).  Build the exact power comparison at each.  Returns all
     # comparisons (violated or not) plus the number of centers examined.
-    coeffs = dict(vp.coefficients)
+    coeffs = vp.coefficients
     table = _vertex_table(vp.k, vp.n)
     for center, _ in table:
         if coeffs[center] < 0:
@@ -321,7 +319,7 @@ def _envelope_scan(vp: VolumePolynomial) -> tuple[list[Certificate], int]:
         checked += 1
         for mask, support in entries:
             if not mask & zero_mask:
-                comparisons.append(_power_certificate(center, support, coeffs))
+                comparisons.append(power_certificate(center, support, coeffs))
     return comparisons, checked
 
 
@@ -348,10 +346,7 @@ def gromov_concavity(vp: VolumePolynomial) -> Report:
     (log 0 = -infinity).
     """
     comparisons, checked = _envelope_scan(vp)
-    certs = [c for c in comparisons if c.lhs < c.rhs]
-    if certs:
-        return Report(verdict=FAILS, certificates=tuple(certs), checked_count=checked)
-    return Report(verdict=HOLDS, certificates=(), checked_count=checked)
+    return Report.of([c for c in comparisons if c.lhs < c.rhs], checked)
 
 
 def gromov_triple_check(bodies: Sequence[Body]) -> Report:
@@ -359,22 +354,17 @@ def gromov_triple_check(bodies: Sequence[Body]) -> Report:
     V(A_1,A_2,A_3)^3 vs V(A_1,A_1,A_2) * V(A_2,A_2,A_3) * V(A_3,A_3,A_1)."""
     if len(bodies) != 3:
         raise ValueError(f"the triple comparison needs exactly 3 bodies, got {len(bodies)}")
-    for b in bodies:
-        if b.dim != 3:
-            raise ValueError("the triple comparison lives in dimension 3")
-    a1, a2, a3 = bodies
-    v123 = mixed_volume([a1, a2, a3])
-    v112 = mixed_volume([a1, a1, a2])
-    v223 = mixed_volume([a2, a2, a3])
-    v331 = mixed_volume([a3, a3, a1])
+    if any(b.dim != 3 for b in bodies):
+        raise ValueError("the triple comparison lives in dimension 3")
+    v123, v112, v223, v331 = coefficients(
+        BodyTuple(tuple(bodies)), [(1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2)]
+    )
     cert = triple_certificate(v123, v112, v223, v331)
     values = (
         f"V(A1,A2,A3) = {v123}, V(A1,A1,A2) = {v112}, "
         f"V(A2,A2,A3) = {v223}, V(A3,A3,A1) = {v331}; cubed comparison {cert.lhs} vs {cert.rhs}"
     )
-    if cert.lhs >= cert.rhs:
-        return Report(verdict=HOLDS, certificates=(), checked_count=1, diagnostic=values)
-    return Report(verdict=FAILS, certificates=(cert,), checked_count=1, diagnostic=values)
+    return Report.of((cert,) if cert.lhs < cert.rhs else (), 1, values)
 
 
 def triple_certificate(v123: Fraction, v112: Fraction, v223: Fraction, v331: Fraction) -> Certificate:
@@ -395,8 +385,9 @@ def triple_certificate(v123: Fraction, v112: Fraction, v223: Fraction, v331: Fra
 
 
 def minkowski_sequence_check(a: Body, b: Body, n: int) -> Report:
-    """Log-concavity of V_j = V(A,...,A,B,...,B) (j copies of A), the exact
-    surrogate that implies the root-form volume inequality for A + B.
+    """Log-concavity of V_j = V(A,...,A,B,...,B) (j copies of A), i.e. segment
+    concavity of the pair's volume polynomial: the exact surrogate that
+    implies the root-form volume inequality for A + B.
 
     The root form itself is also evaluated in 64-digit floating point and
     reported as a non-authoritative diagnostic.
@@ -405,42 +396,16 @@ def minkowski_sequence_check(a: Body, b: Body, n: int) -> Report:
 
     if a.dim != n or b.dim != n:
         raise ValueError("both bodies must live in the stated dimension")
-    seq = [mixed_volume([a] * j + [b] * (n - j)) for j in range(n + 1)]
-    checked = 0
-    certs: list[Certificate] = []
-    for j in range(1, n):
-        checked += 1
-        lhs = seq[j] ** 2
-        rhs = seq[j - 1] * seq[j + 1]
-        if lhs < rhs:
-            half = Fraction(1, 2)
-            values = {
-                (j, n - j): seq[j],
-                (j - 1, n - j + 1): seq[j - 1],
-                (j + 1, n - j - 1): seq[j + 1],
-            }
-            certs.append(
-                _power_certificate(
-                    (j, n - j),
-                    (((j + 1, n - j - 1), half), ((j - 1, n - j + 1), half)),
-                    values,
-                )
-            )
+    vp = volume_polynomial(BodyTuple((a, b)))
     with mpmath.workdps(64):
-        va = mpmath.mpf(seq[n].numerator) / seq[n].denominator
-        vb = mpmath.mpf(seq[0].numerator) / seq[0].denominator
         vsum = volume(minkowski_sum([(Fraction(1), a), (Fraction(1), b)]))
-        vs = mpmath.mpf(vsum.numerator) / vsum.denominator
+        va, vb, vs = (mpmath.mpf(v.numerator) / v.denominator for v in (vp[n, 0], vp[0, n], vsum))
         gap = mpmath.root(vs, n) - mpmath.root(va, n) - mpmath.root(vb, n)
         diagnostic = (
             f"root form V(A+B)^(1/{n}) - V(A)^(1/{n}) - V(B)^(1/{n}) "
             f"= {mpmath.nstr(gap, 12)} (64-digit float, non-authoritative)"
         )
-    if checked == 0:
-        return Report(verdict=VACUOUS, certificates=(), checked_count=0, diagnostic=diagnostic)
-    if certs:
-        return Report(verdict=FAILS, certificates=tuple(certs), checked_count=checked, diagnostic=diagnostic)
-    return Report(verdict=HOLDS, certificates=(), checked_count=checked, diagnostic=diagnostic)
+    return replace(segment_concavity(vp), diagnostic=diagnostic)
 
 
 @dataclass(frozen=True)

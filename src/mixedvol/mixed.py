@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import count, product
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Mapping, Sequence
@@ -122,6 +123,11 @@ class BodyTuple:
         if len(dims) != 1:
             raise ValueError(f"bodies live in different ambient dimensions: {sorted(dims)}")
 
+    @classmethod
+    def square(cls, bodies: Sequence[Body]) -> "BodyTuple":
+        """The n bodies in dimension n of one mixed volume; ValueError otherwise."""
+        return cls(_square(bodies, "mixed volume", "body", "bodies", "in"))
+
     @property
     def k(self) -> int:
         return len(self.bodies)
@@ -142,6 +148,12 @@ class MatrixTuple:
         if len(dims) != 1:
             raise ValueError(f"matrices have different dimensions: {sorted(dims)}")
 
+    @classmethod
+    def square(cls, matrices: Sequence[SymMatrix]) -> "MatrixTuple":
+        """The n matrices of dimension n of one mixed discriminant; ValueError otherwise."""
+        mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices]
+        return cls(_square(mats, "mixed discriminant", "matrix", "matrices", "of"))
+
     @property
     def k(self) -> int:
         return len(self.matrices)
@@ -149,6 +161,19 @@ class MatrixTuple:
     @property
     def n(self) -> int:
         return self.matrices[0].dim
+
+
+def _square(items: Sequence, what: str, one: str, many: str, of: str) -> tuple:
+    # The n items of dimension n of one mixed volume or discriminant.
+    n = len(items)
+    if n == 0:
+        raise ValueError(f"{what} needs at least one {one}")
+    for item in items:
+        if item.dim != n:
+            raise ValueError(
+                f"{what} needs exactly n {many} {of} dimension n; got {n} {many}, one of dimension {item.dim}"
+            )
+    return tuple(items)
 
 
 def mixed_volume(bodies: Sequence[Body]) -> Fraction:
@@ -160,15 +185,8 @@ def mixed_volume(bodies: Sequence[Body]) -> Fraction:
     of the tuple's volume polynomial.  Symmetric in its arguments and equal
     to Vol(A) when all arguments are the same body A.
     """
-    n = len(bodies)
-    if n == 0:
-        raise ValueError("mixed volume needs at least one body")
-    for b in bodies:
-        if b.dim != n:
-            raise ValueError(
-                f"mixed volume needs exactly n bodies in dimension n; got {n} bodies, one of dimension {b.dim}"
-            )
-    return _polarize(lambda c: _weighted_volume(bodies, c), (1,) * n, n, {})
+    t = BodyTuple.square(bodies)
+    return coefficients(t, [(1,) * t.n])[0]
 
 
 def mixed_volume_boxes(sides: Matrix) -> Fraction:
@@ -221,30 +239,26 @@ def _polarize(
         v = cache.get(c)
         if v is None:
             v = cache[c] = evaluate(c)
-        mult = 1
-        for i_j, c_j in zip(index, c):
-            mult *= comb(i_j, c_j)
-        term = mult * v
-        if (n - size) & 1:
-            total -= term
-        else:
-            total += term
+        term = prod(map(comb, index, c)) * v
+        total += -term if (n - size) & 1 else term
     return total / factorial(n)
 
 
-def _polarized_polynomial(evaluate: Callable[[MultiIndex], Fraction], k: int, n: int) -> VolumePolynomial:
+def coefficients(t: BodyTuple | MatrixTuple, indices: Sequence[MultiIndex]) -> list[Fraction]:
+    """The tuple's coefficients V_I (D_I for matrices) at ``indices``, in
+    order.  Each weighted sum's volume (determinant) is computed only once."""
+    if isinstance(t, BodyTuple):
+        evaluate = partial(_weighted_volume, t.bodies)
+    else:
+        evaluate = partial(_weighted_det, t.matrices)
     cache: dict[MultiIndex, Fraction] = {}
-    coeffs = {index: _polarize(evaluate, index, n, cache) for index in discrete_simplex(k, n)}
-    return VolumePolynomial(k=k, n=n, coefficients=coeffs)
+    return [_polarize(evaluate, index, t.n, cache) for index in indices]
 
 
-def volume_polynomial(t: BodyTuple) -> VolumePolynomial:
-    """All mixed volumes V_I of the tuple by polarization.
-
-    The volume of each weighted Minkowski sum is computed once and shared by
-    every coefficient that needs it.
-    """
-    return _polarized_polynomial(lambda c: _weighted_volume(t.bodies, c), t.k, t.n)
+def volume_polynomial(t: BodyTuple | MatrixTuple) -> VolumePolynomial:
+    """All mixed volumes V_I (discriminants D_I of a MatrixTuple) by polarization."""
+    indices = discrete_simplex(t.k, t.n)
+    return VolumePolynomial(k=t.k, n=t.n, coefficients=dict(zip(indices, coefficients(t, indices))))
 
 
 def volume_polynomial_interpolated(t: BodyTuple) -> VolumePolynomial:
@@ -287,16 +301,8 @@ def volume_polynomial_interpolated(t: BodyTuple) -> VolumePolynomial:
 
 def mixed_discriminant(matrices: Sequence[SymMatrix]) -> Fraction:
     """D(A_1, ..., A_n) by polarization with determinants in place of volumes."""
-    n = len(matrices)
-    if n == 0:
-        raise ValueError("mixed discriminant needs at least one matrix")
-    mats = [m if isinstance(m, SymMatrix) else SymMatrix(m) for m in matrices]
-    for m in mats:
-        if m.dim != n:
-            raise ValueError(
-                f"mixed discriminant needs exactly n matrices of dimension n; got {n} matrices, one of dimension {m.dim}"
-            )
-    return _polarize(lambda c: _weighted_det(mats, c), (1,) * n, n, {})
+    t = MatrixTuple.square(matrices)
+    return coefficients(t, [(1,) * t.n])[0]
 
 
 def _weighted_det(matrices: Sequence[SymMatrix], weights: Sequence[int]) -> Fraction:
@@ -312,6 +318,7 @@ def _weighted_det(matrices: Sequence[SymMatrix], weights: Sequence[int]) -> Frac
 
 
 def discriminant_polynomial(t: MatrixTuple) -> VolumePolynomial:
-    """All mixed discriminants D_I of the tuple; coefficients may be negative
+    """All mixed discriminants D_I of the tuple, by the polarization of
+    :func:`volume_polynomial` with determinants; coefficients may be negative
     for indefinite matrices."""
-    return _polarized_polynomial(lambda c: _weighted_det(t.matrices, c), t.k, t.n)
+    return volume_polynomial(t)

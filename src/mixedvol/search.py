@@ -26,11 +26,12 @@ from .bodies import AxisBox
 from .inequalities import (
     Certificate,
     envelope_vertex_comparisons,
+    power_certificate,
     recheck_certificate,
     triple_certificate,
 )
 from .mixed import BodyTuple, VolumePolynomial, discrete_simplex, volume_polynomial
-from .numerics import Matrix, as_index, as_rational, format_rational, parse_json, permanent
+from .numerics import MAX_DIGITS, Matrix, as_index, as_rational, format_rational, parse_json, permanent
 
 EXHAUSTIVE = "exhaustive-grid"
 RANDOM = "random"
@@ -108,14 +109,34 @@ class Finding:
     @classmethod
     def from_json(cls, doc: dict) -> "Finding":
         try:
+            side_matrix = Matrix(doc["side_matrix"])
+            cert, ratio = _resolve_long_claims(side_matrix, doc["certificate"], doc["violation_ratio"])
             return cls(
                 index=as_index(doc["candidate"]),
-                side_matrix=Matrix(doc["side_matrix"]),
-                certificate=Certificate.from_json(doc["certificate"]),
-                violation_ratio=as_rational(doc["violation_ratio"]),
+                side_matrix=side_matrix,
+                certificate=Certificate.from_json(cert),
+                violation_ratio=as_rational(ratio),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed finding document: {exc}") from exc
+
+
+def _resolve_long_claims(side_matrix: Matrix, cert: dict, ratio: object) -> tuple[dict, object]:
+    # Certificate sides are powers of V_I, so honest claims (lhs, rhs, ratio)
+    # can outgrow as_rational's bound on input strings.  An over-long claim
+    # that is the canonical string of the value verify_finding recomputes
+    # becomes that value; any other claim is left to the bound.
+    claims = (cert["lhs"], cert["rhs"], ratio)
+    if all(not isinstance(c, str) or len(c) <= MAX_DIGITS for c in claims):
+        return cert, ratio
+    try:
+        shape = Certificate.from_json({**cert, "lhs": 0, "rhs": 0})
+        fresh = power_certificate(shape.center, shape.support, _polynomial(side_matrix).coefficients)
+        values = (fresh.lhs, fresh.rhs, fresh.rhs / fresh.lhs)
+        lhs, rhs, ratio = (v if c == format_rational(v) else c for c, v in zip(claims, values))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        return cert, ratio
+    return {**cert, "lhs": lhs, "rhs": rhs}, ratio
 
 
 @dataclass(frozen=True)
@@ -397,6 +418,11 @@ def search(space: SearchSpace, config: SearchConfig, *, jobs: int = 1) -> Search
     return _finish(found, count)
 
 
+def _polynomial(side_matrix: Matrix) -> VolumePolynomial:
+    # The boxes' full volume polynomial by polarization, without permanents.
+    return volume_polynomial(BodyTuple(tuple(AxisBox.from_lengths(row) for row in side_matrix)))
+
+
 def verify_finding(f: Finding) -> bool:
     """Re-derive a Finding through the polarization route.
 
@@ -405,8 +431,7 @@ def verify_finding(f: Finding) -> bool:
     exactly.  The search hot path never touches this code.
     """
     try:
-        boxes = tuple(AxisBox.from_lengths(row) for row in f.side_matrix)
-        vp = volume_polynomial(BodyTuple(boxes))
+        vp = _polynomial(f.side_matrix)
     except (ValueError, TypeError):
         return False
     if not recheck_certificate(vp, f.certificate):

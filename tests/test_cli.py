@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -473,3 +474,70 @@ def test_long_integer_input_is_input_error(args, stdin_text):
     done = command(args, stdin_text)
     assert done.returncode == EXIT_INPUT
     assert "exceeds 4300" in done.stderr
+
+
+def test_verify_accepts_long_sides_that_search_writes():
+    # A grid value of 1501 digits gives certificate sides of about 4500
+    # characters and ratios of about 9000, beyond the 4300-character bound
+    # on input strings.
+    grid = ["--grid", "0,1/3,1,1e1500", "--mode", "random", "--seed", "0"]
+    found = command(["search", *grid, "--max-evaluations", "300", "--format", "json"], "")
+    assert found.returncode == EXIT_FAILS, found.stderr
+    lines = found.stdout.splitlines()
+    doc = json.loads(lines[0])
+    assert len(doc["certificate"]["lhs"]) > 4300
+    checked = command(["verify"], found.stdout)
+    assert checked.returncode == EXIT_OK, checked.stderr
+    assert checked.stdout.strip().endswith("all ok")
+
+    doc["certificate"]["lhs"] = "1" * 1_000_000
+    tampered = "\n".join([json.dumps(doc), *lines[1:]]) + "\n"
+    start = time.perf_counter()
+    rejected = command(["verify"], tampered)
+    assert time.perf_counter() - start < 1.0
+    assert rejected.returncode == EXIT_INPUT
+    assert "exceeds 4300" in rejected.stderr
+
+
+def long_claim_finding(rows, center, support):
+    weight = format(Fraction(1, len(support)))
+    return {
+        "candidate": 0,
+        "side_matrix": rows,
+        "violation_ratio": "2",
+        "certificate": {
+            "center": center,
+            "support": [{"index": s, "weight": weight} for s in support],
+            "lhs": "1" * 4301,
+            "rhs": "2",
+            "comparison": "forged",
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        long_claim_finding([[(i + j) % 5 + 1 for j in range(25)] for i in range(2)], [12, 13], [[13, 12], [11, 14]]),
+        long_claim_finding([[(j % 5) + 1 for j in range(30)]], [30], [[30]]),
+    ],
+    ids=["2x25", "1x30"],
+)
+def test_verify_rejects_forged_long_claim_on_wide_boxes_quickly(doc):
+    # An over-long claim is held against the value recomputed from the side
+    # matrix.  For boxes with many sides that recompute is cheap by
+    # polarization, where permanents of 25x25 or 30x30 matrices are not.
+    start = time.perf_counter()
+    rejected = command(["verify"], json.dumps(doc) + "\n")
+    assert time.perf_counter() - start < 5.0
+    assert rejected.returncode == EXIT_INPUT
+    assert "exceeds 4300" in rejected.stderr
+
+
+def test_cli_import_does_not_load_mpmath():
+    # mpmath is slow to import; only the bm-check diagnostic needs it.
+    code = "import sys, mixedvol.cli; print('mpmath' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(mixedvol.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -3,13 +3,18 @@ independent re-verification of every emitted finding."""
 
 import dataclasses
 import importlib
+import json
 import os
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mixedvol.bodies import AxisBox
-from mixedvol.inequalities import envelope_vertex_comparisons
+from mixedvol.inequalities import Certificate, envelope_vertex_comparisons
 from mixedvol.mixed import BodyTuple, volume_polynomial
 from mixedvol.numerics import Matrix
 from mixedvol.search import (
@@ -199,6 +204,102 @@ def test_jsonl_round_trip():
     assert summary["evaluations"] == result.evaluations
     assert summary["findings"] == len(result)
     assert Fraction(summary["best_ratio"]) == result.best_ratio
+
+
+@st.composite
+def certificates(draw):
+    # Pairs J = I + d and I - d, weighted a_i / (2 Σ a), meet at the center I.
+    k = draw(st.integers(1, 4))
+    center = tuple(draw(st.lists(st.integers(3, 6), min_size=k, max_size=k)))
+    offsets = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=1, max_size=3))
+    shares = draw(st.lists(st.integers(1, 9), min_size=len(offsets), max_size=len(offsets)))
+    support = []
+    for d, a in zip(offsets, shares):
+        w = Fraction(a, 2 * sum(shares))
+        support.append((tuple(c + x for c, x in zip(center, d)), w))
+        support.append((tuple(c - x for c, x in zip(center, d)), w))
+    sides = st.fractions(min_value=-(10**40), max_value=10**40, max_denominator=10**40)
+    return Certificate(
+        center=center,
+        support=tuple(support),
+        lhs=draw(sides),
+        rhs=draw(sides),
+        comparison=draw(st.text(max_size=20)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(certificates())
+def test_certificate_json_round_trip(cert):
+    assert Certificate.from_json(json.loads(json.dumps(cert.to_json()))) == cert
+
+
+@contextmanager
+def unlimited_int_str():
+    # Certificate sides beyond 4300 digits print only with the limit lifted,
+    # as the mixedvol command does for its process (Python 3.10.7 and later
+    # have the limit).
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+HUGE = 10**1500
+
+
+@st.composite
+def findings(draw):
+    # Genuine findings-shaped documents: an envelope comparison (violated or
+    # not) of boxes whose sides include 1501-digit values.
+    k, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    grid = [0, Fraction(1, 3), 1, 5, HUGE, Fraction(HUGE + 1, 7)]
+    rows = draw(st.lists(st.lists(st.sampled_from(grid), min_size=n, max_size=n), min_size=k, max_size=k))
+    side_matrix = Matrix(rows)
+    boxes = BodyTuple(tuple(AxisBox.from_lengths(row) for row in side_matrix))
+    comparisons = envelope_vertex_comparisons(volume_polynomial(boxes))
+    assume(comparisons)
+    cert = draw(st.sampled_from(comparisons))
+    index = draw(st.integers(0, 10**6))
+    ratio = cert.rhs / cert.lhs
+    return Finding(index=index, side_matrix=side_matrix, certificate=cert, violation_ratio=ratio)
+
+
+LONG_SIDES = [[HUGE, 1, 0], [1, 0, 5], [0, Fraction(1, 3), HUGE]]
+
+
+def long_finding():
+    boxes = BodyTuple(tuple(AxisBox.from_lengths(row) for row in LONG_SIDES))
+    comparisons = envelope_vertex_comparisons(volume_polynomial(boxes))
+    cert = max(comparisons, key=lambda c: c.lhs.numerator.bit_length())
+    ratio = cert.rhs / cert.lhs
+    return Finding(index=7, side_matrix=Matrix(LONG_SIDES), certificate=cert, violation_ratio=ratio)
+
+
+def round_trips(finding):
+    with unlimited_int_str():
+        return Finding.from_json(json.loads(json.dumps(finding.to_json()))) == finding
+
+
+def test_finding_with_long_sides_round_trips():
+    finding = long_finding()
+    with unlimited_int_str():
+        doc = finding.to_json()
+    assert len(doc["certificate"]["lhs"]) > 4300
+    assert round_trips(finding)
+    with pytest.raises(ValueError, match="exceeds 4300"):
+        Certificate.from_json(doc["certificate"])  # nothing to recompute it from
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(findings())
+def test_finding_json_round_trip(finding):
+    assert round_trips(finding)
 
 
 def test_malformed_finding_document_rejected():
