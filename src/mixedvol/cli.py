@@ -40,6 +40,7 @@ from .mixed import (
 )
 from .numerics import Matrix, SymMatrix, as_rational, format_rational, parse_json, permanent
 from .search import (
+    HILL_CLIMB,
     MODES,
     TARGETS,
     SearchConfig,
@@ -291,6 +292,8 @@ def _cmd_search(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    if config.mode == HILL_CLIMB and args.jobs > 1:
+        print("warning: hill-climb ignores --jobs; the walk runs in one process", file=sys.stderr)
     result = search(space, config, jobs=args.jobs)
     if args.format == "json":
         text = result_to_jsonl(result)

@@ -72,10 +72,18 @@ class Certificate:
         for idx, w in self.support:
             if w <= 0:
                 raise ValueError(f"support weight of {idx} is {w}, expected > 0")
+        # The sides are powers V^q, so q bounds the work of every recheck.  A
+        # vertex of {w >= 0 : Σ w_J J = center} solves a nonsingular s x s
+        # system, s <= min(k, n), whose columns have 2-norm <= n; by Cramer
+        # and Hadamard its weights have a common denominator q <= n^s.
+        k, n = len(self.center), sum(self.center)
+        q = lcm(*(w.denominator for _, w in self.support))
+        bound = max(n, 1) ** min(k, n)
+        if q > bound:
+            raise ValueError(f"weight denominator {q} exceeds n^min(k, n) = {bound}")
         total = sum((w for _, w in self.support), Fraction(0))
         if total != 1:
             raise ValueError(f"support weights sum to {total}, expected 1")
-        k = len(self.center)
         for j in range(k):
             coord = sum((w * idx[j] for idx, w in self.support), Fraction(0))
             if coord != self.center[j]:

@@ -19,6 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial, lcm
 from typing import Iterator, Sequence
 
@@ -306,8 +307,42 @@ def _candidate_digits(sp: _Space, config: SearchConfig, index: int) -> tuple[int
     return _digits_of(index, g, cells)
 
 
+def _triple_grid_scan(sp: _Space, start: int, stop: int) -> list[Finding]:
+    # Exhaustive triple scan of indices [start, stop) in (row 1, row 2, row 3)
+    # blocks: index = (i1·G + i2)·G + i3 over the G = g^3 rows in digit order.
+    # _perm3 is linear in each row, so perm3(r1, r2, r3) = m(r1, r2)·r3 and
+    # perm3(r, r, s) = u(r)·s with u(r) = 2(r_1 r_2, r_0 r_2, r_0 r_1).  A row
+    # pair computes V(1,1,2), u(r2) and m(r1, r2) once and skips its block
+    # when V(1,1,2) = 0; each r3 costs three dot products and one integer
+    # comparison.  Only a hit is decoded, and it goes through _triple_ratio
+    # (which guards lhs = 0) and _triple_finding like any other candidate.
+    cells = [(a, b, c, 2 * b * c, 2 * a * c, 2 * a * b) for a, b, c in product(sp.int_grid, repeat=3)]
+    size = len(cells)
+    out: list[Finding] = []
+    for pair in range(start // size, -(-stop // size)):
+        base = pair * size
+        a1, b1, c1, x1, y1, z1 = cells[pair // size]
+        a2, b2, c2, x2, y2, z2 = cells[pair % size]
+        p112 = x1 * a2 + y1 * b2 + z1 * c2
+        if p112 == 0:
+            continue
+        m0, m1, m2 = b1 * c2 + c1 * b2, a1 * c2 + c1 * a2, a1 * b2 + b1 * a2
+        lo, hi = max(start - base, 0), min(stop - base, size)
+        for i3 in range(lo, hi):
+            a, b, c, x, y, z = cells[i3]
+            p123 = m0 * a + m1 * b + m2 * c
+            if p112 * (x2 * a + y2 * b + z2 * c) * (x * a1 + y * b1 + z * c1) > p123 * p123 * p123:
+                index = base + i3
+                digits = _digits_of(index, len(sp.grid), 9)
+                _triple_ratio(sp, digits)
+                out.append(_triple_finding(sp, digits, index))
+    return out
+
+
 def _scan_range(space: SearchSpace, config: SearchConfig, start: int, stop: int) -> list[Finding]:
     sp = _Space.of(space)
+    if config.mode == EXHAUSTIVE and config.target == TRIPLE:
+        return _triple_grid_scan(sp, start, stop)
     out: list[Finding] = []
     for index in range(start, stop):
         digits = _candidate_digits(sp, config, index)

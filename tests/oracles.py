@@ -4,6 +4,7 @@ These are deliberately naive (factorial-time permutation sums) so that any
 bug in the fast routes cannot be mirrored here.  Keep them slow and obvious.
 """
 
+import importlib
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -15,6 +16,9 @@ from mixedvol.bodies import minkowski_sum, volume
 from mixedvol.inequalities import FAILS, HOLDS, VACUOUS, Certificate, Report
 from mixedvol.mixed import discrete_simplex, mixed_volume
 from mixedvol.numerics import INFEASIBLE, Matrix, simplex_max
+
+# The package re-exports the function ``search`` under the submodule's name.
+S = importlib.import_module("mixedvol.search")
 
 
 def naive_permanent(rows):
@@ -197,3 +201,16 @@ def per_term_bm_report(a, b, n):
         )
     verdict = VACUOUS if n == 1 else FAILS if certs else HOLDS
     return Report(verdict=verdict, certificates=tuple(certs), checked_count=n - 1, diagnostic=diagnostic)
+
+
+def per_candidate_scan(space, config, start, stop):
+    """The search scan as it was before exhaustive triple scans went by body
+    rows: decode each index and evaluate it on its own."""
+    sp = S._Space.of(space)
+    out = []
+    for index in range(start, stop):
+        digits = S._candidate_digits(sp, config, index)
+        _, finding = S._evaluate(sp, config.target, digits, index)
+        if finding is not None:
+            out.append(finding)
+    return out

@@ -287,6 +287,18 @@ def test_search_text_summary_and_clean_exit(capsys):
     assert "evaluated 1 candidates, 0 findings" in capsys.readouterr().out
 
 
+def test_hill_climb_warns_that_it_ignores_jobs(capsys):
+    argv = ["search", "--grid", "0,1/3,1,5", "--mode", "hill-climb", "--seed", "3",
+            "--max-evaluations", "60", "--format", "json"]
+    code = run(argv)
+    alone = capsys.readouterr()
+    assert alone.err == ""
+    assert run([*argv, "--jobs", "4"]) == code
+    parallel = capsys.readouterr()
+    assert parallel.out == alone.out
+    assert parallel.err.splitlines() == ["warning: hill-climb ignores --jobs; the walk runs in one process"]
+
+
 def test_search_rejects_bad_grid(capsys):
     assert run(["search", "--grid", "0,sideways"]) == EXIT_INPUT
     assert "bad grid value" in capsys.readouterr().err
@@ -438,6 +450,25 @@ def test_zero_denominator_findings_stream_is_input_error(tmp_path, capsys, field
     path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
     assert run(["verify", str(path)]) == EXIT_INPUT
     assert "internal error" not in capsys.readouterr().err
+
+
+def test_verify_rejects_huge_weight_denominator(tmp_path, capsys):
+    # A genuine convex combination, but 999999/3000000 = 333333/1000000, so
+    # the common weight denominator is q = 10^6, and verify would raise
+    # V(1,1,1) to that power.  Weights of a vertex comparison have
+    # q <= n^min(k, n) = 27 here.
+    doc = json.loads(json.dumps(FLAT_FINDING_DOC))
+    weight = "999999/3000000"
+    doc["certificate"]["support"] = [
+        {"index": [1, 1, 1], "weight": "1/1000000"},
+        *({"index": s["index"], "weight": weight} for s in doc["certificate"]["support"]),
+    ]
+    path = tmp_path / "forged.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    assert run(["verify", str(path)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "denominator" in capsys.readouterr().err
 
 
 # -- large exact answers ------------------------------------------------------

@@ -7,6 +7,7 @@ checked count, so Reports and findings streams cannot tell them apart.
 """
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedvol.bodies import AxisBox
-from mixedvol.inequalities import FAILS, HOLDS, _envelope_scan, gromov_concavity
+from mixedvol.inequalities import FAILS, HOLDS, _envelope_scan, _vertex_table, gromov_concavity
 from mixedvol.mixed import BodyTuple, VolumePolynomial, discrete_simplex, volume_polynomial
 from oracles import slow_envelope_scan
 
@@ -105,3 +106,15 @@ def _polynomials(draw):
 @given(_polynomials())
 def test_scan_matches_oracle_property(vp):
     _assert_matches_oracle(vp)
+
+
+@pytest.mark.parametrize("k, n", [(2, 6), (3, 3), (3, 4), (3, 5), (4, 3), (5, 2)])
+def test_vertex_weights_within_certificate_bound(k, n):
+    # Certificate rejects a common weight denominator q > n^min(k, n); every
+    # vertex of the table must stay within it, or genuine comparisons break.
+    q = max(
+        lcm(*(w.denominator for _, w in support))
+        for _, entries in _vertex_table(k, n)
+        for _, support in entries
+    )
+    assert 1 < q <= n ** min(k, n)
