@@ -90,6 +90,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except FileNotFoundError:
         raise UsageError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _load_json(path: str):
@@ -309,8 +311,11 @@ def _cmd_search(args) -> int:
     if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     return EXIT_FAILS if result.findings else EXIT_OK
 
 

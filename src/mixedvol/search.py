@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bodies import AxisBox
 from .inequalities import (
@@ -230,22 +230,6 @@ def _triple_perms(sp: _Space, digits: Sequence[int]) -> tuple[int, int, int, int
     return _perm3(r1, r2, r3), _perm3(r1, r1, r2), _perm3(r2, r2, r3), _perm3(r3, r3, r1)
 
 
-def _triple_ratio(sp: _Space, digits: Sequence[int]) -> Fraction:
-    # Integer-scaled comparison: each V scales by denom^n * n!, and both sides
-    # of V(1,2,3)^3 vs the cyclic product carry the same total factor, so the
-    # scaled permanents compare directly and their ratio is the true ratio.
-    p123, p112, p223, p331 = _triple_perms(sp, digits)
-    lhs = p123**3
-    rhs = p112 * p223 * p331
-    if rhs == 0:
-        return Fraction(0)
-    # A row-support argument rules out lhs = 0 with rhs > 0 for boxes, but the
-    # guard keeps the invariant visible.
-    if lhs == 0:
-        raise ArithmeticError("cyclic product positive while the mixed volume vanishes")
-    return Fraction(rhs, lhs)
-
-
 def _box_polynomial(sp: _Space, digits: Sequence[int]) -> VolumePolynomial:
     # Permanent-route polynomial of the candidate boxes, exact Fractions.
     rows = _candidate_matrix(sp, digits)
@@ -260,43 +244,43 @@ def _box_polynomial(sp: _Space, digits: Sequence[int]) -> VolumePolynomial:
 
 
 def _candidate_matrix(sp: _Space, digits: Sequence[int]) -> Matrix:
-    return Matrix(
-        [[sp.grid[digits[i * sp.n + j]] for j in range(sp.n)] for i in range(sp.k)]
-    )
+    return Matrix([[sp.grid[digits[i * sp.n + j]] for j in range(sp.n)] for i in range(sp.k)])
 
 
-def _triple_finding(sp: _Space, digits: Sequence[int], index: int) -> Finding:
+def _triple(sp: _Space, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
+    # Integer-scaled comparison: each V scales by denom^n * n!, and both sides
+    # of V(1,2,3)^3 vs the cyclic product carry the same total factor, so the
+    # scaled permanents compare directly and their ratio is the true ratio.
+    p123, p112, p223, p331 = perms = _triple_perms(sp, digits)
+    lhs, rhs = p123**3, p112 * p223 * p331
+    if rhs == 0:
+        return Fraction(0), None
+    # A row-support argument rules out lhs = 0 with rhs > 0 for boxes, but the
+    # guard keeps the invariant visible.
+    if lhs == 0:
+        raise ArithmeticError("cyclic product positive while the mixed volume vanishes")
+    ratio = Fraction(rhs, lhs)
+    if ratio <= 1:
+        return ratio, None
     scale = Fraction(1, sp.denom**sp.n * factorial(sp.n))
-    cert = triple_certificate(*(p * scale for p in _triple_perms(sp, digits)))
-    return Finding(
-        index=index,
-        side_matrix=_candidate_matrix(sp, digits),
-        certificate=cert,
-        violation_ratio=cert.rhs / cert.lhs,
-    )
+    cert = triple_certificate(*(p * scale for p in perms))
+    return ratio, Finding(index, _candidate_matrix(sp, digits), cert, ratio)
+
+
+def _envelope(sp: _Space, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
+    # The first vertex comparison with the largest ratio; comparisons run over
+    # positive coefficients only, so no lhs vanishes.
+    comparisons = envelope_vertex_comparisons(_box_polynomial(sp, digits))
+    best = max(comparisons, key=lambda cert: cert.rhs / cert.lhs, default=None)
+    ratio = Fraction(0) if best is None else best.rhs / best.lhs
+    if ratio <= 1:
+        return ratio, None
+    return ratio, Finding(index, _candidate_matrix(sp, digits), best, ratio)
 
 
 def _evaluate(sp: _Space, target: str, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
     """Ratio rhs/lhs of the strongest comparison, and a Finding when > 1."""
-    if target == TRIPLE:
-        ratio = _triple_ratio(sp, digits)
-        if ratio > 1:
-            return ratio, _triple_finding(sp, digits, index)
-        return ratio, None
-    vp = _box_polynomial(sp, digits)
-    best = Fraction(0)
-    best_cert: Certificate | None = None
-    for cert in envelope_vertex_comparisons(vp):
-        ratio = cert.rhs / cert.lhs
-        if ratio > best:
-            best = ratio
-            best_cert = cert
-    if best > 1 and best_cert is not None:
-        side = _candidate_matrix(sp, digits)
-        return best, Finding(
-            index=index, side_matrix=side, certificate=best_cert, violation_ratio=best
-        )
-    return best, None
+    return (_triple if target == TRIPLE else _envelope)(sp, digits, index)
 
 
 def _candidate_digits(sp: _Space, config: SearchConfig, index: int) -> tuple[int, ...]:
@@ -314,8 +298,8 @@ def _triple_grid_scan(sp: _Space, start: int, stop: int) -> list[Finding]:
     # perm3(r, r, s) = u(r)·s with u(r) = 2(r_1 r_2, r_0 r_2, r_0 r_1).  A row
     # pair computes V(1,1,2), u(r2) and m(r1, r2) once and skips its block
     # when V(1,1,2) = 0; each r3 costs three dot products and one integer
-    # comparison.  Only a hit is decoded, and it goes through _triple_ratio
-    # (which guards lhs = 0) and _triple_finding like any other candidate.
+    # comparison.  Only a hit is decoded, and it goes through _triple (which
+    # guards lhs = 0) like any other candidate.
     cells = [(a, b, c, 2 * b * c, 2 * a * c, 2 * a * b) for a, b, c in product(sp.int_grid, repeat=3)]
     size = len(cells)
     out: list[Finding] = []
@@ -333,31 +317,33 @@ def _triple_grid_scan(sp: _Space, start: int, stop: int) -> list[Finding]:
             p123 = m0 * a + m1 * b + m2 * c
             if p112 * (x2 * a + y2 * b + z2 * c) * (x * a1 + y * b1 + z * c1) > p123 * p123 * p123:
                 index = base + i3
-                digits = _digits_of(index, len(sp.grid), 9)
-                _triple_ratio(sp, digits)
-                out.append(_triple_finding(sp, digits, index))
+                _, finding = _triple(sp, _digits_of(index, len(sp.grid), 9), index)
+                out.append(finding)
     return out
 
 
 def _scan_range(space: SearchSpace, config: SearchConfig, start: int, stop: int) -> list[Finding]:
+    # The first finding per side matrix, in index order.  Grid indices name
+    # distinct matrices; random draws repeat, and only the first is kept.
     sp = _Space.of(space)
     if config.mode == EXHAUSTIVE and config.target == TRIPLE:
         return _triple_grid_scan(sp, start, stop)
-    out: list[Finding] = []
+    first: dict[Matrix, Finding] = {}
     for index in range(start, stop):
-        digits = _candidate_digits(sp, config, index)
-        _, finding = _evaluate(sp, config.target, digits, index)
+        _, finding = _evaluate(sp, config.target, _candidate_digits(sp, config, index), index)
         if finding is not None:
-            out.append(finding)
-    return out
+            first.setdefault(finding.side_matrix, finding)
+    return list(first.values())
 
 
-def _finish(found: list[Finding], evaluations: int) -> SearchResult:
-    by_matrix: dict[Matrix, Finding] = {}
-    for f in sorted(found, key=lambda f: f.index):
-        if f.side_matrix not in by_matrix:
-            by_matrix[f.side_matrix] = f
-    ordered = sorted(by_matrix.values(), key=lambda f: (-f.violation_ratio, f.index))
+def _finish(parts: Iterable[Iterable[Finding]], evaluations: int) -> SearchResult:
+    # Parts arrive in chunk order, each in index order, so the first finding
+    # kept per side matrix is its earliest.
+    first: dict[Matrix, Finding] = {}
+    for part in parts:
+        for f in part:
+            first.setdefault(f.side_matrix, f)
+    ordered = sorted(first.values(), key=lambda f: (-f.violation_ratio, f.index))
     return SearchResult(findings=tuple(ordered), evaluations=evaluations)
 
 
@@ -367,41 +353,39 @@ def _hill_climb(space: SearchSpace, config: SearchConfig) -> SearchResult:
     g = len(sp.grid)
     budget = config.max_evaluations
     evaluations = 0
-    found: list[Finding] = []
+    first: dict[Matrix, Finding] = {}
+
+    def evaluate(digits: tuple[int, ...]) -> Fraction:
+        nonlocal evaluations
+        ratio, finding = _evaluate(sp, config.target, digits, evaluations)
+        evaluations += 1
+        if finding is not None:
+            first.setdefault(finding.side_matrix, finding)
+        return ratio
+
     restart = 0
     while evaluations < budget:
         digits = tuple(_cell_draw(config.seed, restart, c) % g for c in range(cells))
         restart += 1
-        ratio, finding = _evaluate(sp, config.target, digits, evaluations)
-        evaluations += 1
-        if finding is not None:
-            found.append(finding)
+        ratio = evaluate(digits)
         improved = True
-        while improved and evaluations < budget:
+        while improved:
             improved = False
             # First-improvement scan over single-cell grid steps; plateaus
             # (equal ratio) are rejected so the walk cannot cycle.
-            for cell in range(cells):
+            for cell, step in product(range(cells), (-1, 1)):
+                di = digits[cell] + step
+                if not 0 <= di < g:
+                    continue
                 if evaluations >= budget:
                     break
-                for step in (-1, 1):
-                    di = digits[cell] + step
-                    if not 0 <= di < g:
-                        continue
-                    cand = digits[:cell] + (di,) + digits[cell + 1 :]
-                    cand_ratio, cand_finding = _evaluate(sp, config.target, cand, evaluations)
-                    evaluations += 1
-                    if cand_finding is not None:
-                        found.append(cand_finding)
-                    if cand_ratio > ratio:
-                        digits, ratio = cand, cand_ratio
-                        improved = True
-                        break
-                    if evaluations >= budget:
-                        break
-                if improved:
+                cand = digits[:cell] + (di,) + digits[cell + 1 :]
+                cand_ratio = evaluate(cand)
+                if cand_ratio > ratio:
+                    digits, ratio = cand, cand_ratio
+                    improved = True
                     break
-    return _finish(found, evaluations)
+    return _finish([first.values()], evaluations)
 
 
 def _cpu_count() -> int:
@@ -425,32 +409,25 @@ def search(space: SearchSpace, config: SearchConfig, *, jobs: int = 1) -> Search
     if config.mode == HILL_CLIMB:
         return _hill_climb(space, config)
 
+    count = config.max_evaluations
     if config.mode == EXHAUSTIVE:
-        g = len(space.side_grid)
-        total = g ** (space.k * space.n)
-        count = min(total, config.max_evaluations)
-    else:
-        count = config.max_evaluations
+        count = min(count, len(space.side_grid) ** (space.k * space.n))
 
     # One chunk per worker and at least two candidates per chunk.
     jobs = max(1, min(int(jobs), _cpu_count(), count // 2))
     if jobs == 1:
-        found = _scan_range(space, config, 0, count)
-        return _finish(found, count)
+        return _finish([_scan_range(space, config, 0, count)], count)
 
     bounds = [count * i // jobs for i in range(jobs + 1)]
     chunks = [(bounds[i], bounds[i + 1]) for i in range(jobs)]
     try:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(
-                pool.map(_scan_range, [space] * jobs, [config] * jobs, *zip(*chunks))
-            )
-    except (OSError, PermissionError):
+            parts = list(pool.map(_scan_range, [space] * jobs, [config] * jobs, *zip(*chunks)))
+    except OSError:
         # Restricted environments may forbid worker processes; the sequential
         # result is identical by construction.
         parts = [_scan_range(space, config, a, b) for a, b in chunks]
-    found = [f for part in parts for f in part]
-    return _finish(found, count)
+    return _finish(parts, count)
 
 
 def _polynomial(side_matrix: Matrix) -> VolumePolynomial:

@@ -7,13 +7,21 @@ bug in the fast routes cannot be mirrored here.  Keep them slow and obvious.
 import importlib
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import factorial, lcm
 from random import Random
 
 import mpmath
 
 from mixedvol.bodies import minkowski_sum, volume
-from mixedvol.inequalities import FAILS, HOLDS, VACUOUS, Certificate, Report
+from mixedvol.inequalities import (
+    FAILS,
+    HOLDS,
+    VACUOUS,
+    Certificate,
+    Report,
+    envelope_vertex_comparisons,
+    triple_certificate,
+)
 from mixedvol.mixed import discrete_simplex, mixed_volume
 from mixedvol.numerics import INFEASIBLE, Matrix, simplex_max
 
@@ -203,14 +211,45 @@ def per_term_bm_report(a, b, n):
     return Report(verdict=verdict, certificates=tuple(certs), checked_count=n - 1, diagnostic=diagnostic)
 
 
+def _per_candidate_evaluate(sp, target, digits, index):
+    # The per-candidate evaluation as it was before the triple target had one
+    # evaluator: the ratio and the certificate come from separate permanent
+    # calls, and the envelope keeps the first strictly best vertex.
+    if target == S.TRIPLE:
+        p123, p112, p223, p331 = S._triple_perms(sp, digits)
+        lhs, rhs = p123**3, p112 * p223 * p331
+        if rhs == 0:
+            return Fraction(0), None
+        if lhs == 0:
+            raise ArithmeticError("cyclic product positive while the mixed volume vanishes")
+        ratio = Fraction(rhs, lhs)
+        if ratio <= 1:
+            return ratio, None
+        scale = Fraction(1, sp.denom**sp.n * factorial(sp.n))
+        cert = triple_certificate(*(p * scale for p in S._triple_perms(sp, digits)))
+        side = S._candidate_matrix(sp, digits)
+        return ratio, S.Finding(
+            index=index, side_matrix=side, certificate=cert, violation_ratio=cert.rhs / cert.lhs
+        )
+    best, best_cert = Fraction(0), None
+    for cert in envelope_vertex_comparisons(S._box_polynomial(sp, digits)):
+        ratio = cert.rhs / cert.lhs
+        if ratio > best:
+            best, best_cert = ratio, cert
+    if best > 1 and best_cert is not None:
+        side = S._candidate_matrix(sp, digits)
+        return best, S.Finding(index=index, side_matrix=side, certificate=best_cert, violation_ratio=best)
+    return best, None
+
+
 def per_candidate_scan(space, config, start, stop):
     """The search scan as it was before exhaustive triple scans went by body
-    rows: decode each index and evaluate it on its own."""
+    rows: decode each index and evaluate it on its own, keeping every hit."""
     sp = S._Space.of(space)
     out = []
     for index in range(start, stop):
         digits = S._candidate_digits(sp, config, index)
-        _, finding = S._evaluate(sp, config.target, digits, index)
+        _, finding = _per_candidate_evaluate(sp, config.target, digits, index)
         if finding is not None:
             out.append(finding)
     return out

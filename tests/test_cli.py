@@ -572,3 +572,22 @@ def test_cli_import_does_not_load_mpmath():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# -- file errors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        lambda d: ["perm", str(d)],
+        lambda d: ["verify", str(d)],
+        lambda d: ["search", "--grid", "0,1", "--output", str(d)],
+        lambda d: ["search", "--grid", "0,1", "--output", str(d / "missing" / "x")],
+    ],
+    ids=["perm-directory", "verify-directory", "output-directory", "output-missing-parent"],
+)
+def test_file_errors_are_input_errors(tmp_path, args):
+    done = command(args(tmp_path), "")
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert done.stderr.startswith("error: "), done.stderr

@@ -5,7 +5,10 @@ text and in json format, and compares stdout, stderr and the exit code with
 ``tests/golden/<case>.json``.  After an intended change of output, record
 the fixtures again with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
+
+which records the named cases, or every case when none is named.  A verify
+case reads the json stream of its search case, so record the search first.
 """
 
 import io
@@ -82,6 +85,12 @@ SEARCH_ENVELOPE = [
     "--grid", "0,1/3,1,5", "--mode", "random", "--seed", "6",
     "--max-evaluations", "60", "--target", "full-envelope",
 ]
+HILL_TRIPLE = ["--grid", "0,1/3,1,5", "--mode", "hill-climb", "--seed", "1", "--max-evaluations", "400"]
+HILL_ENVELOPE = [
+    "--grid", "0,1/3,1,5", "--mode", "hill-climb", "--seed", "1",
+    "--max-evaluations", "150", "--target", "full-envelope",
+]
+GRID_ENVELOPE = ["--grid", "0,1,2", "--max-evaluations", "500", "--target", "full-envelope"]
 
 # case name -> (argv without --format, input document or None for no stdin)
 CASES = {
@@ -128,10 +137,19 @@ CASES = {
     "vdw-check-mixed": (["vdw-check"], [["1/2", "1/2", "0"], ["1/4", "1/4", "1/2"], ["1/4", "1/4", "1/2"]]),
     "search-triple": (["search", *SEARCH_TRIPLE], None),
     "search-envelope": (["search", *SEARCH_ENVELOPE], None),
+    "search-hill-triple": (["search", *HILL_TRIPLE], None),
+    "search-hill-envelope": (["search", *HILL_ENVELOPE], None),
+    "search-grid-envelope": (["search", *GRID_ENVELOPE], None),
 }
 
 # verify reads the json stream that the named search case recorded.
-VERIFY_CASES = {"verify-triple": "search-triple", "verify-envelope": "search-envelope"}
+VERIFY_CASES = {
+    "verify-triple": "search-triple",
+    "verify-envelope": "search-envelope",
+    "verify-hill-triple": "search-hill-triple",
+    "verify-hill-envelope": "search-hill-envelope",
+    "verify-grid-envelope": "search-grid-envelope",
+}
 
 
 def run_case(argv, stdin_text, fmt):
@@ -165,9 +183,9 @@ def test_golden_output(case):
         assert run_case(argv, stdin_text, fmt) == expected[fmt], fmt
 
 
-def record():
+def record(cases):
     GOLDEN.mkdir(exist_ok=True)
-    for case in [*CASES, *VERIFY_CASES]:
+    for case in cases or [*CASES, *VERIFY_CASES]:
         argv, stdin_text = case_inputs(case)
         doc = {fmt: run_case(argv, stdin_text, fmt) for fmt in FORMATS}
         text = json.dumps(doc, indent=1, ensure_ascii=False) + "\n"
@@ -176,4 +194,4 @@ def record():
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

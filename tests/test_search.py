@@ -31,6 +31,7 @@ from mixedvol.search import (
     search,
     verify_finding,
 )
+from oracles import per_candidate_scan
 
 # The flat-box triple known to break log concavity, as a side matrix.
 TARGET_MATRIX = Matrix([
@@ -162,6 +163,36 @@ def test_hill_climb_deterministic_and_verified():
     assert len(a) > 0
     for f in a:
         assert verify_finding(f)
+
+
+def test_random_scan_keeps_one_finding_per_side_matrix():
+    # Random draws repeat side matrices; the scan keeps the first finding of
+    # each as it goes, so what it holds is bounded by the distinct violating
+    # matrices and not by the budget.
+    space = SearchSpace(side_grid=FULL_GRID)
+    config = SearchConfig(mode=RANDOM, seed=0, max_evaluations=20_000)
+    every_hit = per_candidate_scan(space, config, 0, config.max_evaluations)
+    first = {}
+    for f in every_hit:
+        first.setdefault(f.side_matrix, f)
+    assert len(every_hit) > len(first)  # the draw does repeat violators
+    assert search_module._scan_range(space, config, 0, config.max_evaluations) == list(first.values())
+    assert search(space, config, jobs=2) == search(space, config, jobs=1)
+
+
+def test_hill_climb_keeps_one_finding_per_side_matrix(monkeypatch):
+    held = []
+    finish = search_module._finish
+
+    def spy(parts, evaluations):
+        parts = [list(part) for part in parts]
+        held.extend(f.side_matrix for part in parts for f in part)
+        return finish(parts, evaluations)
+
+    monkeypatch.setattr(search_module, "_finish", spy)
+    config = SearchConfig(mode=HILL_CLIMB, seed=1, max_evaluations=400)
+    result = search(SearchSpace(side_grid=FULL_GRID), config)
+    assert len(held) == len(set(held)) == len(result) > 0
 
 
 def test_envelope_covers_triple_violations():
