@@ -23,6 +23,7 @@ from .numerics import (
     as_index,
     as_rational,
     determinant,
+    eliminate,
     format_rational,
     matrix_rank,
 )
@@ -218,16 +219,6 @@ def _orient3d(a: Point, b: Point, c: Point, d: Point) -> Fraction:
     )
 
 
-def _cross3(o: Point, a: Point, b: Point) -> Point:
-    u = (a[0] - o[0], a[1] - o[1], a[2] - o[2])
-    v = (b[0] - o[0], b[1] - o[1], b[2] - o[2])
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
 @dataclass(frozen=True)
 class Hull3D:
     """Hull of a 3D point set.
@@ -253,24 +244,19 @@ def convex_hull_3d(points: Sequence[Sequence[RationalLike]]) -> Hull3D:
         if len(p) != 3:
             raise ValueError(f"point {p} is not three-dimensional")
 
-    base = pts[0]
-    adim = matrix_rank([[x - y for x, y in zip(p, base)] for p in pts[1:]]) if len(pts) > 1 else 0
-    if adim < 3:
-        return Hull3D(points=tuple(pts), affine_dim=adim, facets=())
-
-    # Seed tetrahedron: first point, first distinct, first non-collinear,
-    # first non-coplanar.
-    i1 = next(i for i in range(1, len(pts)) if pts[i] != pts[0])
-    i2 = next(
-        i
-        for i in range(i1 + 1, len(pts))
-        if any(c != 0 for c in _cross3(pts[0], pts[i1], pts[i]))
-    )
-    i3 = next(
-        i
-        for i in range(i2 + 1, len(pts))
-        if _orient3d(pts[0], pts[i1], pts[i2], pts[i]) != 0
-    )
+    # Seed tetrahedron: the first point, then each point whose difference from
+    # it raises the rank (first distinct, first non-collinear, first
+    # non-coplanar).  Their count is the affine dimension.
+    echelon: list[tuple[int, list[Fraction]]] = []
+    seed = []
+    for i in range(1, len(pts)):
+        if eliminate(echelon, [x - y for x, y in zip(pts[i], pts[0])], 3):
+            seed.append(i)
+            if len(seed) == 3:
+                break
+    if len(seed) < 3:
+        return Hull3D(points=tuple(pts), affine_dim=len(seed), facets=())
+    i1, i2, i3 = seed
     if _orient3d(pts[0], pts[i1], pts[i2], pts[i3]) > 0:
         i1, i2 = i2, i1
     # Now orient3d(p0,p1,p2,p3) < 0, so each face below sees the remaining

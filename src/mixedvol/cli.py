@@ -115,10 +115,7 @@ def _bodies_doc(doc) -> tuple[int, list[Body]]:
         raise UsageError('expected a tuple document {"dimension": n, "bodies": [...]}')
     if not isinstance(doc["bodies"], list) or not doc["bodies"]:
         raise UsageError('"bodies" must be a nonempty JSON array of body documents')
-    try:
-        bodies = [body_from_json(b) for b in doc["bodies"]]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    bodies = [body_from_json(b) for b in doc["bodies"]]
     declared = doc.get("dimension")
     if declared is not None:
         for pos, b in enumerate(bodies):
@@ -160,10 +157,7 @@ def _polynomial_source(doc) -> VolumePolynomial:
     """A coefficient array, a body tuple, or a matrix tuple all yield the
     polynomial the concavity checks consume."""
     if isinstance(doc, list):
-        try:
-            return VolumePolynomial.from_json(doc)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        return VolumePolynomial.from_json(doc)
     if isinstance(doc, dict) and ("bodies" in doc or "matrices" in doc):
         polynomial, _ = _tuple_doc(doc)
         return polynomial()
@@ -227,9 +221,8 @@ def _cmd_volpoly(args) -> int:
     if args.format == "json":
         print(json.dumps(vp.to_json()))
     else:
-        for entry in vp.to_json():
-            idx = tuple(entry["index"])
-            print(f"{idx}: {fmt_value(Fraction(entry['value']))}")
+        for idx, v in sorted(vp.coefficients.items()):
+            print(f"{idx}: {fmt_value(v)}")
     return EXIT_OK
 
 
@@ -284,16 +277,13 @@ def _parse_grid(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_search(args) -> int:
-    try:
-        space = SearchSpace(side_grid=_parse_grid(args.grid), n=args.n, k=args.k)
-        config = SearchConfig(
-            mode=args.mode,
-            seed=args.seed,
-            max_evaluations=args.max_evaluations,
-            target=args.target,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    space = SearchSpace(side_grid=_parse_grid(args.grid), n=args.n, k=args.k)
+    config = SearchConfig(
+        mode=args.mode,
+        seed=args.seed,
+        max_evaluations=args.max_evaluations,
+        target=args.target,
+    )
     if config.mode == HILL_CLIMB and args.jobs > 1:
         print("warning: hill-climb ignores --jobs; the walk runs in one process", file=sys.stderr)
     result = search(space, config, jobs=args.jobs)

@@ -66,8 +66,12 @@ def as_index(value: object) -> int:
 
 
 def parse_json(text: str):
-    """``json.loads`` with integer literals bounded like numeric strings."""
-    return json.loads(text, parse_int=as_index)
+    """``json.loads`` with integer literals bounded like numeric strings, and
+    nesting too deep to parse reported as a ValueError."""
+    try:
+        return json.loads(text, parse_int=as_index)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -292,13 +296,13 @@ def matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def is_positive_definite(m: SymMatrix) -> bool:
-    """True iff every leading principal minor is strictly positive (exact)."""
+    """True iff every leading principal minor D_i is strictly positive (exact):
+    eliminated in order, row i reduces to D_i / D_{i-1} in column i."""
     if not isinstance(m, SymMatrix):
         m = SymMatrix(m)
-    n = m.dim
-    for k in range(1, n + 1):
-        minor = Matrix([m[i][:k] for i in range(k)])
-        if determinant(minor) <= 0:
+    echelon: list[tuple[int, list[Fraction]]] = []
+    for i, row in enumerate(list(r) for r in m):
+        if not eliminate(echelon, row, m.dim) or row[i] <= 0:
             return False
     return True
 

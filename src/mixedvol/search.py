@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import factorial, lcm
@@ -44,6 +44,7 @@ ENVELOPE = "full-envelope"
 TARGETS = (TRIPLE, ENVELOPE)
 
 _MASK64 = (1 << 64) - 1
+_TRIPLE_SHAPE = triple_certificate(1, 1, 1, 1)  # center, support and text of every triple finding
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,9 @@ class SearchSpace:
     side_grid: tuple[Fraction, ...]
     n: int = 3
     k: int = 3
+    # The grid scaled by its common denominator, shared by all candidates.
+    denom: int = field(init=False, repr=False, compare=False)
+    int_grid: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = sorted({as_rational(v) for v in self.side_grid})
@@ -69,6 +73,9 @@ class SearchSpace:
         object.__setattr__(self, "side_grid", tuple(grid))
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be at least 1")
+        denom = lcm(*(v.denominator for v in grid))
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "int_grid", tuple(int(v * denom) for v in grid))
 
 
 @dataclass(frozen=True)
@@ -192,27 +199,6 @@ def _perm3(r0: Sequence[int], r1: Sequence[int], r2: Sequence[int]) -> int:
     )
 
 
-@dataclass(frozen=True)
-class _Space:
-    # Precomputed per-search constants shared by all candidates.
-    grid: tuple[Fraction, ...]
-    int_grid: tuple[int, ...]
-    denom: int
-    n: int
-    k: int
-
-    @classmethod
-    def of(cls, space: SearchSpace) -> "_Space":
-        denom = lcm(*(v.denominator for v in space.side_grid))
-        return cls(
-            grid=space.side_grid,
-            int_grid=tuple(int(v * denom) for v in space.side_grid),
-            denom=denom,
-            n=space.n,
-            k=space.k,
-        )
-
-
 def _digits_of(index: int, base: int, cells: int) -> tuple[int, ...]:
     out = [0] * cells
     for c in range(cells - 1, -1, -1):
@@ -220,7 +206,7 @@ def _digits_of(index: int, base: int, cells: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _triple_perms(sp: _Space, digits: Sequence[int]) -> tuple[int, int, int, int]:
+def _triple_perms(sp: SearchSpace, digits: Sequence[int]) -> tuple[int, int, int, int]:
     # V(1,2,3), V(1,1,2), V(2,2,3) and V(3,3,1) of the candidate, each scaled
     # by denom^n * n! to an integer permanent.
     g = sp.int_grid
@@ -230,7 +216,7 @@ def _triple_perms(sp: _Space, digits: Sequence[int]) -> tuple[int, int, int, int
     return _perm3(r1, r2, r3), _perm3(r1, r1, r2), _perm3(r2, r2, r3), _perm3(r3, r3, r1)
 
 
-def _box_polynomial(sp: _Space, digits: Sequence[int]) -> VolumePolynomial:
+def _box_polynomial(sp: SearchSpace, digits: Sequence[int]) -> VolumePolynomial:
     # Permanent-route polynomial of the candidate boxes, exact Fractions.
     rows = _candidate_matrix(sp, digits)
     nfact = factorial(sp.n)
@@ -243,11 +229,11 @@ def _box_polynomial(sp: _Space, digits: Sequence[int]) -> VolumePolynomial:
     return VolumePolynomial(k=sp.k, n=sp.n, coefficients=coeffs)
 
 
-def _candidate_matrix(sp: _Space, digits: Sequence[int]) -> Matrix:
-    return Matrix([[sp.grid[digits[i * sp.n + j]] for j in range(sp.n)] for i in range(sp.k)])
+def _candidate_matrix(sp: SearchSpace, digits: Sequence[int]) -> Matrix:
+    return Matrix([[sp.side_grid[digits[i * sp.n + j]] for j in range(sp.n)] for i in range(sp.k)])
 
 
-def _triple(sp: _Space, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
+def _triple(sp: SearchSpace, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
     # Integer-scaled comparison: each V scales by denom^n * n!, and both sides
     # of V(1,2,3)^3 vs the cyclic product carry the same total factor, so the
     # scaled permanents compare directly and their ratio is the true ratio.
@@ -267,7 +253,7 @@ def _triple(sp: _Space, digits: Sequence[int], index: int) -> tuple[Fraction, Fi
     return ratio, Finding(index, _candidate_matrix(sp, digits), cert, ratio)
 
 
-def _envelope(sp: _Space, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
+def _envelope(sp: SearchSpace, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
     # The first vertex comparison with the largest ratio; comparisons run over
     # positive coefficients only, so no lhs vanishes.
     comparisons = envelope_vertex_comparisons(_box_polynomial(sp, digits))
@@ -278,20 +264,20 @@ def _envelope(sp: _Space, digits: Sequence[int], index: int) -> tuple[Fraction, 
     return ratio, Finding(index, _candidate_matrix(sp, digits), best, ratio)
 
 
-def _evaluate(sp: _Space, target: str, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
+def _evaluate(sp: SearchSpace, target: str, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
     """Ratio rhs/lhs of the strongest comparison, and a Finding when > 1."""
     return (_triple if target == TRIPLE else _envelope)(sp, digits, index)
 
 
-def _candidate_digits(sp: _Space, config: SearchConfig, index: int) -> tuple[int, ...]:
+def _candidate_digits(sp: SearchSpace, config: SearchConfig, index: int) -> tuple[int, ...]:
     cells = sp.k * sp.n
-    g = len(sp.grid)
+    g = len(sp.side_grid)
     if config.mode == RANDOM:
         return tuple(_cell_draw(config.seed, index, c) % g for c in range(cells))
     return _digits_of(index, g, cells)
 
 
-def _triple_grid_scan(sp: _Space, start: int, stop: int) -> list[Finding]:
+def _triple_grid_scan(sp: SearchSpace, start: int, stop: int) -> list[Finding]:
     # Exhaustive triple scan of indices [start, stop) in (row 1, row 2, row 3)
     # blocks: index = (i1·G + i2)·G + i3 over the G = g^3 rows in digit order.
     # _perm3 is linear in each row, so perm3(r1, r2, r3) = m(r1, r2)·r3 and
@@ -317,15 +303,14 @@ def _triple_grid_scan(sp: _Space, start: int, stop: int) -> list[Finding]:
             p123 = m0 * a + m1 * b + m2 * c
             if p112 * (x2 * a + y2 * b + z2 * c) * (x * a1 + y * b1 + z * c1) > p123 * p123 * p123:
                 index = base + i3
-                _, finding = _triple(sp, _digits_of(index, len(sp.grid), 9), index)
+                _, finding = _triple(sp, _digits_of(index, len(sp.side_grid), 9), index)
                 out.append(finding)
     return out
 
 
-def _scan_range(space: SearchSpace, config: SearchConfig, start: int, stop: int) -> list[Finding]:
+def _scan_range(sp: SearchSpace, config: SearchConfig, start: int, stop: int) -> list[Finding]:
     # The first finding per side matrix, in index order.  Grid indices name
     # distinct matrices; random draws repeat, and only the first is kept.
-    sp = _Space.of(space)
     if config.mode == EXHAUSTIVE and config.target == TRIPLE:
         return _triple_grid_scan(sp, start, stop)
     first: dict[Matrix, Finding] = {}
@@ -347,10 +332,9 @@ def _finish(parts: Iterable[Iterable[Finding]], evaluations: int) -> SearchResul
     return SearchResult(findings=tuple(ordered), evaluations=evaluations)
 
 
-def _hill_climb(space: SearchSpace, config: SearchConfig) -> SearchResult:
-    sp = _Space.of(space)
+def _hill_climb(sp: SearchSpace, config: SearchConfig) -> SearchResult:
     cells = sp.k * sp.n
-    g = len(sp.grid)
+    g = len(sp.side_grid)
     budget = config.max_evaluations
     evaluations = 0
     first: dict[Matrix, Finding] = {}
@@ -439,16 +423,21 @@ def verify_finding(f: Finding) -> bool:
     """Re-derive a Finding through the polarization route.
 
     Boxes are rebuilt from the side matrix, the full volume polynomial is
-    recomputed without permanents, and the certificate plus ratio must match
-    exactly.  The search hot path never touches this code.
+    recomputed without permanents, and the certificate, its text included,
+    plus ratio must match exactly.  The search hot path never touches this code.
     """
     try:
         vp = _polynomial(f.side_matrix)
     except (ValueError, TypeError):
         return False
-    if not recheck_certificate(vp, f.certificate):
+    cert = f.certificate
+    if not recheck_certificate(vp, cert):
         return False
-    return f.violation_ratio == f.certificate.rhs / f.certificate.lhs
+    # The sides are rechecked, so only the text is rebuilt, from unit values.
+    honest = _TRIPLE_SHAPE
+    if (cert.center, cert.support) != (honest.center, honest.support):
+        honest = power_certificate(cert.center, cert.support, dict.fromkeys(vp.coefficients, 1))
+    return cert.comparison == honest.comparison and f.violation_ratio == cert.rhs / cert.lhs
 
 
 # ---------------------------------------------------------------------------

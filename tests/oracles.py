@@ -12,7 +12,7 @@ from random import Random
 
 import mpmath
 
-from mixedvol.bodies import minkowski_sum, volume
+from mixedvol.bodies import Hull3D, _orient3d, minkowski_sum, volume
 from mixedvol.inequalities import (
     FAILS,
     HOLDS,
@@ -23,7 +23,7 @@ from mixedvol.inequalities import (
     triple_certificate,
 )
 from mixedvol.mixed import discrete_simplex, mixed_volume
-from mixedvol.numerics import INFEASIBLE, Matrix, simplex_max
+from mixedvol.numerics import INFEASIBLE, Matrix, as_rational, matrix_rank, simplex_max
 
 # The package re-exports the function ``search`` under the submodule's name.
 S = importlib.import_module("mixedvol.search")
@@ -51,6 +51,67 @@ def naive_determinant(rows):
             term *= rows[i][sigma[i]]
         total += term
     return total
+
+
+def leading_minors_positive(rows):
+    """Sylvester's criterion, one naive determinant per leading minor."""
+    return all(naive_determinant([r[:k] for r in rows[:k]]) > 0 for k in range(1, len(rows) + 1))
+
+
+def _cross3(o, a, b):
+    u = (a[0] - o[0], a[1] - o[1], a[2] - o[2])
+    v = (b[0] - o[0], b[1] - o[1], b[2] - o[2])
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def seeded_by_scans_convex_hull_3d(points):
+    """The 3D hull as it was before its seed came from one elimination pass:
+    a rank pre-pass for the affine dimension, then three scans for the first
+    distinct, first non-collinear and first non-coplanar point."""
+    if not points:
+        raise ValueError("convex hull of an empty point set")
+    pts = list(dict.fromkeys(tuple(as_rational(x) for x in p) for p in points))
+    for p in pts:
+        if len(p) != 3:
+            raise ValueError(f"point {p} is not three-dimensional")
+    base = pts[0]
+    adim = matrix_rank([[x - y for x, y in zip(p, base)] for p in pts[1:]]) if len(pts) > 1 else 0
+    if adim < 3:
+        return Hull3D(points=tuple(pts), affine_dim=adim, facets=())
+    i1 = next(i for i in range(1, len(pts)) if pts[i] != pts[0])
+    i2 = next(i for i in range(i1 + 1, len(pts)) if any(c != 0 for c in _cross3(pts[0], pts[i1], pts[i])))
+    i3 = next(i for i in range(i2 + 1, len(pts)) if _orient3d(pts[0], pts[i1], pts[i2], pts[i]) != 0)
+    if _orient3d(pts[0], pts[i1], pts[i2], pts[i3]) > 0:
+        i1, i2 = i2, i1
+    facets = [(0, i1, i2), (0, i2, i3), (0, i3, i1), (i1, i3, i2)]
+    done = {0, i1, i2, i3}
+    for ip, p in enumerate(pts):
+        if ip in done:
+            continue
+        vis = []
+        strictly_outside = False
+        for f in facets:
+            o = _orient3d(pts[f[0]], pts[f[1]], pts[f[2]], p)
+            if o > 0:
+                strictly_outside = True
+            if o >= 0:
+                vis.append(f)
+        if not strictly_outside:
+            continue
+        vis_set = set(vis)
+        edges = set()
+        for a, b, c in vis:
+            for e in ((a, b), (b, c), (c, a)):
+                edges.add(e)
+        facets = [f for f in facets if f not in vis_set]
+        for u, v in edges:
+            if (v, u) not in edges:
+                facets.append((u, v, ip))
+    return Hull3D(points=tuple(pts), affine_dim=3, facets=tuple(facets))
 
 
 def random_fraction(rng: Random, lo=-5, hi=5, max_den=4) -> Fraction:
@@ -245,11 +306,10 @@ def _per_candidate_evaluate(sp, target, digits, index):
 def per_candidate_scan(space, config, start, stop):
     """The search scan as it was before exhaustive triple scans went by body
     rows: decode each index and evaluate it on its own, keeping every hit."""
-    sp = S._Space.of(space)
     out = []
     for index in range(start, stop):
-        digits = S._candidate_digits(sp, config, index)
-        _, finding = _per_candidate_evaluate(sp, config.target, digits, index)
+        digits = S._candidate_digits(space, config, index)
+        _, finding = _per_candidate_evaluate(space, config.target, digits, index)
         if finding is not None:
             out.append(finding)
     return out

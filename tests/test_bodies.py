@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedvol.bodies import (
     AxisBox,
@@ -18,6 +20,7 @@ from mixedvol.bodies import (
     volume,
 )
 from mixedvol.bodies import _orient3d
+from oracles import seeded_by_scans_convex_hull_3d
 
 FLAT_A1 = AxisBox.from_lengths([1, 1, 0])
 FLAT_A2 = AxisBox.from_lengths([1, 0, 5])
@@ -219,6 +222,53 @@ def test_hull_volume_matches_box():
         b = AxisBox.from_lengths(lengths)
         h = convex_hull_3d(b.vertices())
         assert hull_volume(h) == volume(b)
+
+
+def flat_point_set(base, directions, coefficients, repeats):
+    """base + Σ c_j d_j for each coefficient row, then the points at the
+    ``repeats`` positions again: affine dimension at most len(directions)."""
+    pts = [
+        tuple(b + sum(c * d[t] for c, d in zip(row, directions)) for t, b in enumerate(base))
+        for row in coefficients
+    ]
+    return pts + [pts[i % len(pts)] for i in repeats]
+
+
+def seeded_flat_point_sets(seed, count):
+    rng = Random(seed)
+    for _ in range(count):
+        dim = rng.randint(0, 3)
+        base = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+        directions = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(dim)]
+        coefficients = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(1, 10))]
+        repeats = [rng.randrange(10) for _ in range(rng.randint(0, 3))]
+        yield flat_point_set(base, directions, coefficients, repeats)
+
+
+def test_hull_seed_matches_the_scans_it_replaced():
+    dims = set()
+    for pts in seeded_flat_point_sets(2208, 400):
+        h = convex_hull_3d(pts)
+        assert h == seeded_by_scans_convex_hull_3d(pts), pts
+        dims.add(h.affine_dim)
+    assert dims == {0, 1, 2, 3}
+
+
+@st.composite
+def flat_points(draw):
+    dim = draw(st.integers(0, 3))
+    small = st.integers(-2, 2)
+    base = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=3, max_size=3))
+    directions = draw(st.lists(st.lists(small, min_size=3, max_size=3), min_size=dim, max_size=dim))
+    coefficients = draw(st.lists(st.lists(small, min_size=dim, max_size=dim), min_size=1, max_size=9))
+    repeats = draw(st.lists(st.integers(0, 8), max_size=3))
+    return flat_point_set(base, directions, coefficients, repeats)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(flat_points())
+def test_hull_seed_matches_the_scans_it_replaced_property(pts):
+    assert convex_hull_3d(pts) == seeded_by_scans_convex_hull_3d(pts)
 
 
 def test_affine_dimension_examples():

@@ -402,6 +402,48 @@ def test_verify_rejects_forged_negative_weights(tmp_path, capsys):
     assert "weight" in capsys.readouterr().err
 
 
+# A finding whose comparison text is not the one search writes for its
+# (center, support) must not verify, even when every number in it is right.
+# Each forgery is the honest text in the other writer's format.
+@pytest.mark.parametrize(
+    "argv, candidate, forged",
+    [
+        (
+            ["--grid", "0,1/3,1,5", "--max-evaluations", "26745"],
+            26744,
+            "V(1, 1, 1)^3 vs V(2, 1, 0)^1 * V(0, 2, 1)^1 * V(1, 0, 2)^1",
+        ),
+        (
+            ["--grid", "0,1/3,1,2,5", "--mode", "random", "--target", "full-envelope", "--max-evaluations", "150"],
+            99,
+            "V(1,1,1)^3 vs V(0,1,2)^1 * V(1,2,0)^1 * V(2,0,1)^1",
+        ),
+    ],
+    ids=["triple", "envelope"],
+)
+def test_verify_rejects_forged_comparison_text(tmp_path, capsys, argv, candidate, forged):
+    stream = tmp_path / "findings.jsonl"
+    assert run(["search", *argv, "--format", "json", "--output", str(stream)]) == EXIT_FAILS
+    docs = [json.loads(line) for line in stream.read_text(encoding="utf-8").splitlines()]
+    doc = next(d for d in docs if d.get("candidate") == candidate)
+    one = tmp_path / "one.jsonl"
+    one.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    assert run(["verify", str(one)]) == EXIT_OK
+    assert doc["certificate"]["comparison"] != forged
+    doc["certificate"]["comparison"] = forged
+    one.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["verify", str(one)]) == EXIT_FAILS
+    assert f"candidate {candidate}: MISMATCH" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command_name", ["perm", "gromov-check", "verify"])
+def test_deeply_nested_json_is_input_error(monkeypatch, capsys, command_name):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 2000 + "]" * 2000))
+    assert run([command_name]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_zero_denominator_matrix_is_input_error(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO('[["1/0","1"],["1","1"]]'))
     assert run(["perm"]) == EXIT_INPUT

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixedvol.numerics import (
     DimensionError,
@@ -20,7 +22,13 @@ from mixedvol.numerics import (
     simplex_max,
     solve_linear,
 )
-from oracles import naive_determinant, naive_permanent, random_fraction, random_rows
+from oracles import (
+    leading_minors_positive,
+    naive_determinant,
+    naive_permanent,
+    random_fraction,
+    random_rows,
+)
 
 
 def test_as_rational_accepts_fraction_int_string():
@@ -214,6 +222,59 @@ def test_mtm_plus_identity_is_positive_definite():
         for i in range(n):
             prod[i][i] += 1
         assert is_positive_definite(SymMatrix(prod))
+
+
+# A zero or negative leading minor, early or late, including a zero minor
+# followed by a row that still raises the rank.
+NOT_DEFINITE = [
+    [[0]],
+    [[-1]],
+    [[0, 1], [1, 0]],
+    [[1, 1], [1, 1]],
+    [[1, 2], [2, 1]],
+    [[1, 0, 0], [0, 0, 1], [0, 1, 1]],
+    [[2, 1, 0], [1, 1, 1], [0, 1, 1]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+]
+
+
+@pytest.mark.parametrize("rows", NOT_DEFINITE)
+def test_is_positive_definite_rejects_a_nonpositive_leading_minor(rows):
+    assert not leading_minors_positive(rows)
+    assert not is_positive_definite(SymMatrix(rows))
+
+
+def random_symmetric_rows(rng, n):
+    rows = random_rows(rng, n, lo=-3, hi=3, max_den=2)
+    if rng.random() < 0.5:  # a Gram matrix, often definite, sometimes singular
+        m = n - rng.randint(0, 1)
+        rows = [[sum(rows[t][i] * rows[t][j] for t in range(m)) for j in range(n)] for i in range(n)]
+    return [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def test_is_positive_definite_matches_leading_minors():
+    rng = Random(1109)
+    verdicts = set()
+    for _ in range(600):
+        rows = random_symmetric_rows(rng, rng.randint(1, 5))
+        verdict = is_positive_definite(SymMatrix(rows))
+        assert verdict == leading_minors_positive(rows), rows
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@st.composite
+def symmetric_rows(draw):
+    n = draw(st.integers(1, 4))
+    upper = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+    shift = draw(st.integers(0, 8))  # a larger diagonal makes definite matrices common
+    return [[upper[min(i, j) * n + max(i, j)] + shift * (i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(symmetric_rows())
+def test_is_positive_definite_matches_leading_minors_property(rows):
+    assert is_positive_definite(SymMatrix(rows)) == leading_minors_positive(rows)
 
 
 # -- simplex -----------------------------------------------------------------

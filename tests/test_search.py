@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import json
 import os
+import pickle
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -59,6 +60,24 @@ def test_space_rejects_bad_grids():
         SearchSpace(side_grid=(1, -1))
     with pytest.raises(ValueError):
         SearchSpace(side_grid=(1,), n=0)
+
+
+def test_space_identity_is_its_three_fields():
+    # The integer grid is carried for the scans but is not part of a space's
+    # repr, equality, hash or constructor.
+    sp = SearchSpace(side_grid=FULL_GRID)
+    assert repr(sp) == (
+        "SearchSpace(side_grid=(Fraction(0, 1), Fraction(1, 3), Fraction(1, 1), Fraction(5, 1)), n=3, k=3)"
+    )
+    same = SearchSpace(side_grid=("5", "1", "1/3", "0"))
+    assert sp == same and hash(sp) == hash(same) == hash((sp.side_grid, 3, 3))
+    assert sp != SearchSpace(side_grid=FULL_GRID, n=2)
+    assert (sp.denom, sp.int_grid) == (3, (0, 1, 3, 15))
+    back = pickle.loads(pickle.dumps(sp))
+    assert back == sp and repr(back) == repr(sp) and hash(back) == hash(sp)
+    assert (back.denom, back.int_grid) == (3, (0, 1, 3, 15))
+    assert [f.name for f in dataclasses.fields(sp) if f.init] == ["side_grid", "n", "k"]
+    assert dataclasses.replace(sp, n=2).int_grid == sp.int_grid
 
 
 def test_config_rejects_bad_fields():
