@@ -5,9 +5,9 @@ Degenerate (lower-dimensional) bodies are first-class citizens: a box may have
 point intervals, a zonotope may have dependent generators, and volume is then
 0.  The counterexample bodies this package exists to handle are all flat.
 
-General polytopes are supported only up to ambient dimension 3, where an
-incremental convex hull with exact orientation predicates is tractable; boxes
-and zonotopes work in any dimension.
+General polytopes are supported only up to ambient dimension 3, by an
+incremental convex hull whose orientation predicates run on integers, each
+point cleared of its own denominators; boxes and zonotopes work in any dimension.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .numerics import (
     RationalLike,
     as_index,
     as_rational,
+    clear_denominators,
     determinant,
     eliminate,
     format_rational,
@@ -205,13 +206,20 @@ def affine_dimension(b: Body) -> int:
 # Exact convex hulls
 
 
-def _orient3d(a: Point, b: Point, c: Point, d: Point) -> Fraction:
-    # Determinant of the rows b-a, c-a, d-a: positive iff d lies on the
-    # positive side of the oriented plane through a, b, c.
-    (ax, ay, az) = a
-    u = (b[0] - ax, b[1] - ay, b[2] - az)
-    v = (c[0] - ax, c[1] - ay, c[2] - az)
-    w = (d[0] - ax, d[1] - ay, d[2] - az)
+def _homogeneous(points: Sequence[Point]) -> list[tuple[int, int, int, int]]:
+    # Each point as integers (X, Y, Z, W) cleared of its own denominators:
+    # one W for all points would make every coordinate huge.
+    return [(*x, w) for x, w in map(clear_denominators, points)]
+
+
+def _orient3d(a, b, c, d) -> int:
+    # Determinant of the rows b-a, c-a, d-a of homogeneous points, times
+    # W_a^3*W_b*W_c*W_d > 0 (rows W_a*B - W_b*A, ...): positive iff d lies on
+    # the positive side of the oriented plane through a, b, c.
+    (ax, ay, az, aw), (bx, by, bz, bw), (cx, cy, cz, cw), (dx, dy, dz, dw) = a, b, c, d
+    u = (aw * bx - bw * ax, aw * by - bw * ay, aw * bz - bw * az)
+    v = (aw * cx - cw * ax, aw * cy - cw * ay, aw * cz - cw * az)
+    w = (aw * dx - dw * ax, aw * dy - dw * ay, aw * dz - dw * az)
     return (
         u[0] * (v[1] * w[2] - v[2] * w[1])
         - u[1] * (v[0] * w[2] - v[2] * w[0])
@@ -257,20 +265,21 @@ def convex_hull_3d(points: Sequence[Sequence[RationalLike]]) -> Hull3D:
     if len(seed) < 3:
         return Hull3D(points=tuple(pts), affine_dim=len(seed), facets=())
     i1, i2, i3 = seed
-    if _orient3d(pts[0], pts[i1], pts[i2], pts[i3]) > 0:
+    hom = _homogeneous(pts)
+    if _orient3d(hom[0], hom[i1], hom[i2], hom[i3]) > 0:
         i1, i2 = i2, i1
     # Now orient3d(p0,p1,p2,p3) < 0, so each face below sees the remaining
     # vertex on its negative side: outward orientation.
     facets = [(0, i1, i2), (0, i2, i3), (0, i3, i1), (i1, i3, i2)]
 
     done = {0, i1, i2, i3}
-    for ip, p in enumerate(pts):
+    for ip, p in enumerate(hom):
         if ip in done:
             continue
         vis = []
         strictly_outside = False
         for f in facets:
-            o = _orient3d(pts[f[0]], pts[f[1]], pts[f[2]], p)
+            o = _orient3d(hom[f[0]], hom[f[1]], hom[f[2]], p)
             if o > 0:
                 strictly_outside = True
             if o >= 0:
@@ -296,10 +305,11 @@ def convex_hull_3d(points: Sequence[Sequence[RationalLike]]) -> Hull3D:
 def hull_volume(h: Hull3D) -> Fraction:
     if h.affine_dim < 3:
         return Fraction(0)
-    ref = h.points[h.facets[0][0]]
+    hom = _homogeneous(h.points)
+    ref = hom[h.facets[0][0]]
     total = Fraction(0)
-    for a, b, c in h.facets:
-        total += _orient3d(ref, h.points[a], h.points[b], h.points[c])
+    for ha, hb, hc in ([hom[i] for i in f] for f in h.facets):
+        total += Fraction(_orient3d(ref, ha, hb, hc), ref[3] ** 3 * ha[3] * hb[3] * hc[3])
     # Outward facets make each cone volume nonnegative relative to a hull point.
     return total / 6
 

@@ -16,6 +16,7 @@ import sys
 from decimal import Context
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
 from .bodies import Body, body_from_json
 from .inequalities import (
@@ -330,6 +331,7 @@ def _cmd_verify(args) -> int:
 # Wiring
 
 
+@cache  # parsing leaves the parser as it was, so one serves every run()
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mixedvol", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)

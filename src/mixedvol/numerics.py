@@ -2,7 +2,8 @@
 positive-definiteness, and an exact equality-form LP solver.
 
 Every correctness-bearing value in this package is a ``fractions.Fraction``;
-nothing in this module touches floating point.  All functions but
+the determinant works on integers, each row cleared of its own denominators,
+and divides once.  Nothing here touches floating point.  All functions but
 :func:`eliminate`, which updates the echelon it is given, are pure and operate
 on immutable inputs, so concurrent use is safe.
 """
@@ -13,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -202,19 +204,25 @@ def permanent(m: Matrix) -> Fraction:
     return total
 
 
-def determinant(m: Matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def clear_denominators(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers X and W = lcm of the denominators of ``row``, with row = X / W."""
+    w = lcm(*(x.denominator for x in row))
+    return [x.numerator * (w // x.denominator) for x in row], w
 
-    The empty matrix has determinant 1.
-    """
+
+def determinant(m: Matrix) -> Fraction:
+    """Exact determinant by fraction-free (Bareiss) elimination on integers,
+    each row cleared of its own denominators; the empty matrix gives 1."""
     if not m.is_square():
         raise DimensionError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
     if n == 0:
         return Fraction(1)
-    a = [list(row) for row in m]
+    cleared = [clear_denominators(row) for row in m]
+    a = [row for row, _ in cleared]
+    scale = prod(w for _, w in cleared)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
@@ -224,10 +232,10 @@ def determinant(m: Matrix) -> Fraction:
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
         prev = a[k][k]
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+    return Fraction(sign * a[n - 1][n - 1], scale)
 
 
 def eliminate(echelon: list[tuple[int, list[Fraction]]], row: list[Fraction], width: int) -> bool:

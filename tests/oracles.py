@@ -12,7 +12,7 @@ from random import Random
 
 import mpmath
 
-from mixedvol.bodies import Hull3D, _orient3d, minkowski_sum, volume
+from mixedvol.bodies import Hull3D, minkowski_sum, volume
 from mixedvol.inequalities import (
     FAILS,
     HOLDS,
@@ -58,6 +58,28 @@ def leading_minors_positive(rows):
     return all(naive_determinant([r[:k] for r in rows[:k]]) > 0 for k in range(1, len(rows) + 1))
 
 
+def orient3d(a, b, c, d):
+    """Determinant of the rows b-a, c-a, d-a, in Fractions: positive iff d
+    lies on the positive side of the oriented plane through a, b, c."""
+    (ax, ay, az) = a
+    u = (b[0] - ax, b[1] - ay, b[2] - az)
+    v = (c[0] - ax, c[1] - ay, c[2] - az)
+    w = (d[0] - ax, d[1] - ay, d[2] - az)
+    return (
+        u[0] * (v[1] * w[2] - v[2] * w[1])
+        - u[1] * (v[0] * w[2] - v[2] * w[0])
+        + u[2] * (v[0] * w[1] - v[1] * w[0])
+    )
+
+
+def fraction_hull_volume(h):
+    """Volume of a hull as the sum of its facet cones, in Fractions."""
+    if h.affine_dim < 3:
+        return Fraction(0)
+    ref = h.points[h.facets[0][0]]
+    return sum((orient3d(ref, *(h.points[i] for i in f)) for f in h.facets), Fraction(0)) / 6
+
+
 def _cross3(o, a, b):
     u = (a[0] - o[0], a[1] - o[1], a[2] - o[2])
     v = (b[0] - o[0], b[1] - o[1], b[2] - o[2])
@@ -84,8 +106,8 @@ def seeded_by_scans_convex_hull_3d(points):
         return Hull3D(points=tuple(pts), affine_dim=adim, facets=())
     i1 = next(i for i in range(1, len(pts)) if pts[i] != pts[0])
     i2 = next(i for i in range(i1 + 1, len(pts)) if any(c != 0 for c in _cross3(pts[0], pts[i1], pts[i])))
-    i3 = next(i for i in range(i2 + 1, len(pts)) if _orient3d(pts[0], pts[i1], pts[i2], pts[i]) != 0)
-    if _orient3d(pts[0], pts[i1], pts[i2], pts[i3]) > 0:
+    i3 = next(i for i in range(i2 + 1, len(pts)) if orient3d(pts[0], pts[i1], pts[i2], pts[i]) != 0)
+    if orient3d(pts[0], pts[i1], pts[i2], pts[i3]) > 0:
         i1, i2 = i2, i1
     facets = [(0, i1, i2), (0, i2, i3), (0, i3, i1), (i1, i3, i2)]
     done = {0, i1, i2, i3}
@@ -95,7 +117,7 @@ def seeded_by_scans_convex_hull_3d(points):
         vis = []
         strictly_outside = False
         for f in facets:
-            o = _orient3d(pts[f[0]], pts[f[1]], pts[f[2]], p)
+            o = orient3d(pts[f[0]], pts[f[1]], pts[f[2]], p)
             if o > 0:
                 strictly_outside = True
             if o >= 0:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -14,13 +15,13 @@ from mixedvol.bodies import (
     body_from_json,
     body_to_json,
     convex_hull_3d,
+    _homogeneous,
     hull_volume,
     minkowski_sum,
     scale,
     volume,
 )
-from mixedvol.bodies import _orient3d
-from oracles import seeded_by_scans_convex_hull_3d
+from oracles import fraction_hull_volume, orient3d, seeded_by_scans_convex_hull_3d
 
 FLAT_A1 = AxisBox.from_lengths([1, 1, 0])
 FLAT_A2 = AxisBox.from_lengths([1, 0, 5])
@@ -212,7 +213,7 @@ def test_hull_facets_contain_all_points():
             a, b, c = (h.points[i] for i in f)
             for q in h.points:
                 # outward orientation: nothing may lie strictly outside
-                assert _orient3d(a, b, c, q) <= 0
+                assert orient3d(a, b, c, q) <= 0
 
 
 def test_hull_volume_matches_box():
@@ -250,14 +251,17 @@ def test_hull_seed_matches_the_scans_it_replaced():
     for pts in seeded_flat_point_sets(2208, 400):
         h = convex_hull_3d(pts)
         assert h == seeded_by_scans_convex_hull_3d(pts), pts
+        assert hull_volume(h) == fraction_hull_volume(h)
         dims.add(h.affine_dim)
     assert dims == {0, 1, 2, 3}
 
 
 @st.composite
 def flat_points(draw):
+    # Fractional directions and coefficients give each point its own mix of
+    # denominators, so the integer predicates meet unequal W per point.
     dim = draw(st.integers(0, 3))
-    small = st.integers(-2, 2)
+    small = st.fractions(-2, 2, max_denominator=5)
     base = draw(st.lists(st.fractions(-3, 3, max_denominator=3), min_size=3, max_size=3))
     directions = draw(st.lists(st.lists(small, min_size=3, max_size=3), min_size=dim, max_size=dim))
     coefficients = draw(st.lists(st.lists(small, min_size=dim, max_size=dim), min_size=1, max_size=9))
@@ -268,7 +272,40 @@ def flat_points(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(flat_points())
 def test_hull_seed_matches_the_scans_it_replaced_property(pts):
-    assert convex_hull_3d(pts) == seeded_by_scans_convex_hull_3d(pts)
+    h = convex_hull_3d(pts)
+    assert h == seeded_by_scans_convex_hull_3d(pts)
+    assert all(type(x) is Fraction for p in h.points for x in p)
+    v = hull_volume(h)
+    assert type(v) is Fraction and v == fraction_hull_volume(h)
+
+
+def hostile_points(seed, count, digits):
+    """Points in [-1, 1]^3, each with its own random denominator of ``digits`` digits."""
+    rng = Random(seed)
+    pts = []
+    for _ in range(count):
+        d = rng.randrange(10 ** (digits - 1), 10**digits)
+        pts.append(tuple(Fraction(rng.randint(-d, d), d) for _ in range(3)))
+    return pts
+
+
+def test_hull_integers_are_per_point():
+    # A point's integer coordinates must not depend on the other points: with
+    # one common denominator, a single hostile point would inflate them all.
+    pts = [(Fraction(1, 2), Fraction(-1, 3), Fraction(0)), (Fraction(5), Fraction(2, 7), Fraction(-3, 4))]
+    hostile = hostile_points(2209, 1, 200)
+    assert _homogeneous(pts) == [(3, -2, 0, 6), (140, 8, -21, 28)]
+    assert _homogeneous(pts + hostile)[:2] == _homogeneous(pts)
+
+
+def test_hull_volume_with_large_distinct_denominators():
+    # 60 points, each with its own 200-digit denominator: 0.15-0.4 s with an
+    # lcm per point, about 60 s with one lcm for all points.
+    pts = hostile_points(2209, 60, 200)
+    start = time.perf_counter()
+    v = volume(VPolytope(3, tuple(pts)))
+    assert time.perf_counter() - start < 15
+    assert v == fraction_hull_volume(seeded_by_scans_convex_hull_3d(pts))
 
 
 def test_affine_dimension_examples():

@@ -18,7 +18,7 @@ import pytest
 
 import mixedvol
 from mixedvol.bodies import AxisBox
-from mixedvol.cli import EXIT_FAILS, EXIT_INPUT, EXIT_OK, run
+from mixedvol.cli import EXIT_FAILS, EXIT_INPUT, EXIT_OK, _build_parser, run
 from mixedvol.inequalities import gromov_concavity
 from mixedvol.mixed import BodyTuple, volume_polynomial
 
@@ -238,6 +238,23 @@ def test_declared_dimension_mismatch(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == EXIT_OK
     assert "command" in capsys.readouterr().out
+
+
+def test_parser_built_once_serves_every_run(monkeypatch, capsys):
+    # One parser serves all run() calls of a process; after a usage error and
+    # --help it must still answer each request as a fresh process does.
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps to the terminal width
+    assert _build_parser() is _build_parser()
+    for args, stdin_text in [
+        (["perm", "--format", "xml"], ""),
+        (["--help"], ""),
+        (["perm"], '[["1","2"],["3","4"]]'),
+    ]:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        code = run(args)
+        out, err = capsys.readouterr()
+        fresh = command(args, stdin_text)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), args
 
 
 def test_search_finds_and_streams_jsonl(tmp_path, capsys):

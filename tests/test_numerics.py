@@ -153,6 +153,28 @@ def test_determinant_matches_naive_oracle():
         assert determinant(Matrix(rows)) == naive_determinant(rows)
 
 
+@st.composite
+def rational_square_matrices(draw):
+    """Up to 5x5, mixed denominators; zero entries force row swaps, and a row
+    copied as a multiple of another makes the matrix singular."""
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=7))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        lam = draw(st.fractions(-3, 3, max_denominator=4))
+        rows[j] = [lam * x for x in rows[i]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rational_square_matrices())
+def test_determinant_matches_naive_oracle_property(rows):
+    d = determinant(Matrix(rows))
+    assert type(d) is Fraction
+    assert d == naive_determinant(rows)
+
+
 def test_determinant_alternates_under_row_swap():
     rng = Random(1106)
     for _ in range(30):
