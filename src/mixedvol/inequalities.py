@@ -69,14 +69,16 @@ class Certificate:
     comparison: str
 
     def __post_init__(self):
+        k, n = len(self.center), sum(self.center)
         for idx, w in self.support:
             if w <= 0:
                 raise ValueError(f"support weight of {idx} is {w}, expected > 0")
+            if len(idx) != k:
+                raise ValueError(f"support index {idx} has {len(idx)} coordinates, the center {k}")
         # The sides are powers V^q, so q bounds the work of every recheck.  A
         # vertex of {w >= 0 : Σ w_J J = center} solves a nonsingular s x s
         # system, s <= min(k, n), whose columns have 2-norm <= n; by Cramer
         # and Hadamard its weights have a common denominator q <= n^s.
-        k, n = len(self.center), sum(self.center)
         q = lcm(*(w.denominator for _, w in self.support))
         bound = max(n, 1) ** min(k, n)
         if q > bound:

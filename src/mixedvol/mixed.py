@@ -246,7 +246,11 @@ def _polarize(
 
 def coefficients(t: BodyTuple | MatrixTuple, indices: Sequence[MultiIndex]) -> list[Fraction]:
     """The tuple's coefficients V_I (D_I for matrices) at ``indices``, in
-    order.  Each weighted sum's volume (determinant) is computed only once."""
+    order.  Each weighted sum's volume (determinant) is computed only once.
+    An index off the discrete simplex of (k, n) raises ValueError."""
+    for index in indices:
+        if len(index) != t.k or min(index) < 0 or sum(index) != t.n:
+            raise ValueError(f"index {tuple(index)} is not in the discrete simplex of k = {t.k}, n = {t.n}")
     if isinstance(t, BodyTuple):
         evaluate = partial(_weighted_volume, t.bodies)
     else:

@@ -28,10 +28,11 @@ from .inequalities import (
     Certificate,
     envelope_vertex_comparisons,
     power_certificate,
-    recheck_certificate,
+    recheck_certificate,  # noqa: F401 - perfbench/spans.py traces this attribute
     triple_certificate,
 )
-from .mixed import BodyTuple, VolumePolynomial, discrete_simplex, volume_polynomial
+from .mixed import BodyTuple, MultiIndex, VolumePolynomial, coefficients, discrete_simplex
+from .mixed import volume_polynomial  # noqa: F401 - perfbench/spans.py traces this attribute
 from .numerics import MAX_DIGITS, Matrix, as_index, as_rational, format_rational, parse_json, permanent
 
 EXHAUSTIVE = "exhaustive-grid"
@@ -139,10 +140,10 @@ def _resolve_long_claims(side_matrix: Matrix, cert: dict, ratio: object) -> tupl
         return cert, ratio
     try:
         shape = Certificate.from_json({**cert, "lhs": 0, "rhs": 0})
-        fresh = power_certificate(shape.center, shape.support, _polynomial(side_matrix).coefficients)
+        fresh = _rebuild(side_matrix, shape.center, shape.support)
         values = (fresh.lhs, fresh.rhs, fresh.rhs / fresh.lhs)
         lhs, rhs, ratio = (v if c == format_rational(v) else c for c, v in zip(claims, values))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError):
         return cert, ratio
     return {**cert, "lhs": lhs, "rhs": rhs}, ratio
 
@@ -414,30 +415,29 @@ def search(space: SearchSpace, config: SearchConfig, *, jobs: int = 1) -> Search
     return _finish(parts, count)
 
 
-def _polynomial(side_matrix: Matrix) -> VolumePolynomial:
-    # The boxes' full volume polynomial by polarization, without permanents.
-    return volume_polynomial(BodyTuple(tuple(AxisBox.from_lengths(row) for row in side_matrix)))
+def _rebuild(sides: Matrix, center: MultiIndex, support: tuple[tuple[MultiIndex, Fraction], ...]) -> Certificate:
+    # What search writes for (center, support), its sides from only the coefficients named.
+    boxes = BodyTuple(tuple(AxisBox.from_lengths(row) for row in sides))
+    names = [center, *(idx for idx, _ in support)]
+    values = coefficients(boxes, names)
+    if (center, support) == (_TRIPLE_SHAPE.center, _TRIPLE_SHAPE.support):
+        return triple_certificate(*values)
+    return power_certificate(center, support, dict(zip(names, values)))
 
 
 def verify_finding(f: Finding) -> bool:
     """Re-derive a Finding through the polarization route.
 
-    Boxes are rebuilt from the side matrix, the full volume polynomial is
-    recomputed without permanents, and the certificate, its text included,
-    plus ratio must match exactly.  The search hot path never touches this code.
+    Boxes are rebuilt from the side matrix, only the coefficients that the
+    certificate names are recomputed without permanents, and the certificate,
+    its text included, plus ratio must match exactly what search would write.
     """
+    cert = f.certificate
     try:
-        vp = _polynomial(f.side_matrix)
+        honest = _rebuild(f.side_matrix, cert.center, cert.support)
     except (ValueError, TypeError):
         return False
-    cert = f.certificate
-    if not recheck_certificate(vp, cert):
-        return False
-    # The sides are rechecked, so only the text is rebuilt, from unit values.
-    honest = _TRIPLE_SHAPE
-    if (cert.center, cert.support) != (honest.center, honest.support):
-        honest = power_certificate(cert.center, cert.support, dict.fromkeys(vp.coefficients, 1))
-    return cert.comparison == honest.comparison and f.violation_ratio == cert.rhs / cert.lhs
+    return cert == honest and cert.lhs < cert.rhs and f.violation_ratio == cert.rhs / cert.lhs
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -21,6 +22,7 @@ from mixedvol.bodies import AxisBox
 from mixedvol.cli import EXIT_FAILS, EXIT_INPUT, EXIT_OK, _build_parser, run
 from mixedvol.inequalities import gromov_concavity
 from mixedvol.mixed import BodyTuple, volume_polynomial
+from test_golden import CASES, FORMATS, VERIFY_CASES, load, run_case
 
 FLAT_TRIPLE_DOC = {
     "dimension": 3,
@@ -511,6 +513,18 @@ def test_zero_denominator_findings_stream_is_input_error(tmp_path, capsys, field
     assert "internal error" not in capsys.readouterr().err
 
 
+def test_verify_rejects_certificate_of_fewer_bodies(tmp_path, capsys):
+    # The flat triple's exact certificate names three bodies; attached to four
+    # boxes whose first three are that triple, it must not verify, although
+    # every number in it is right for the first three.
+    doc = json.loads(json.dumps(FLAT_FINDING_DOC))
+    doc["side_matrix"].append(["1", "1", "1"])
+    path = tmp_path / "forged.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    assert run(["verify", str(path)]) == EXIT_FAILS
+    assert "candidate 0: MISMATCH" in capsys.readouterr().out
+
+
 def test_verify_rejects_huge_weight_denominator(tmp_path, capsys):
     # A genuine convex combination, but 999999/3000000 = 333333/1000000, so
     # the common weight denominator is q = 10^6, and verify would raise
@@ -528,6 +542,66 @@ def test_verify_rejects_huge_weight_denominator(tmp_path, capsys):
     assert run(["verify", str(path)]) == EXIT_INPUT
     assert time.perf_counter() - start < 1.0
     assert "denominator" in capsys.readouterr().err
+
+
+# Every malformed input exits 1, never 2: seeded mutations of the golden
+# inputs, each replacing or deleting one nested value.  A replacement is JSON
+# text, so each use parses a fresh copy.
+REPLACEMENTS = (
+    "null", "true", "0", "-1", "7", '"0"', '"-1"', '"1/0"', '"1/3"', '"x"', '""', "[]", "{}",
+    "[1, 1, 1, 0]", '[["1"]]',
+)
+
+
+def nested_paths(value, path=()):
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from nested_paths(item, path + (key,))
+
+
+def mutated(doc, rng):
+    """A copy of ``doc`` with one nested value replaced or deleted."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = rng.choice(list(nested_paths(doc)))
+    target = doc
+    for k in parents:
+        target = target[k]
+    if rng.random() < 0.5:
+        del target[key]
+    else:
+        target[key] = json.loads(rng.choice(REPLACEMENTS))
+    return doc
+
+
+def internal_faults(inputs, count, seed):
+    rng = Random(seed)
+    faults = []
+    for _ in range(count):
+        argv, doc = rng.choice(inputs)
+        text = json.dumps(mutated(doc, rng))
+        result = run_case(argv, text, rng.choice(FORMATS))
+        if result["exit"] not in (EXIT_OK, EXIT_INPUT, EXIT_FAILS):
+            faults.append((argv, text, result["stderr"]))
+    return faults
+
+
+def test_mutated_documents_never_exit_internal():
+    inputs = [(argv, doc) for argv, doc in CASES.values() if doc is not None]
+    faults = internal_faults(inputs, 2500, seed=0)
+    assert not faults, f"{len(faults)} internal faults, first: {faults[0]}"
+
+
+def test_mutated_findings_never_exit_internal():
+    streams = (load(search_case)["json"]["stdout"] for search_case in VERIFY_CASES.values())
+    inputs = [(["verify"], json.loads(line)) for text in streams for line in text.splitlines()[:-1]]
+    faults = internal_faults(inputs, 3000, seed=0)
+    assert not faults, f"{len(faults)} internal faults, first: {faults[0]}"
 
 
 # -- large exact answers ------------------------------------------------------
@@ -564,6 +638,15 @@ def test_long_integer_input_is_input_error(args, stdin_text):
     done = command(args, stdin_text)
     assert done.returncode == EXIT_INPUT
     assert "exceeds 4300" in done.stderr
+
+
+def test_verify_rejects_support_index_shorter_than_center():
+    doc = json.loads(json.dumps(FLAT_FINDING_DOC))
+    doc["certificate"]["center"] = [1, 1, 1, 0]
+    done = command(["verify"], json.dumps(doc) + "\n")
+    assert done.returncode == EXIT_INPUT, done.stderr
+    assert done.stderr.startswith("error: "), done.stderr
+    assert "coordinates" in done.stderr
 
 
 def test_verify_accepts_long_sides_that_search_writes():

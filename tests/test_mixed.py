@@ -9,6 +9,7 @@ from mixedvol.mixed import (
     BodyTuple,
     MatrixTuple,
     VolumePolynomial,
+    coefficients,
     discrete_simplex,
     discriminant_polynomial,
     mixed_discriminant,
@@ -171,6 +172,18 @@ def test_volume_polynomial_of_flat_triple():
         (0, 0, 3): Fraction(0),
     }
     assert dict(vp.coefficients) == expected
+
+
+@pytest.mark.parametrize(
+    "index",
+    [(1, 1), (1, 1, 1, 0), (2, 2, -1), (1, 1, 0), (2, 1, 1)],
+    ids=["short", "long", "negative", "sum-low", "sum-high"],
+)
+def test_coefficients_reject_index_off_the_simplex(index):
+    # Polarization would read such an index anyway: zip drops the coordinates
+    # past the last body, and a negative count sums no terms.
+    with pytest.raises(ValueError, match="discrete simplex"):
+        coefficients(FLAT_TUPLE, [(1, 1, 1), index])
 
 
 def test_volume_polynomial_two_segments():

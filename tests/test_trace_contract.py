@@ -2,7 +2,7 @@
 
 ``perfbench/spans.py`` lists them in TIMED and COUNTED.  A refactor that drops
 or renames one of them would otherwise surface only as a traced benchmark run
-that exits 1.
+that exits 1.  The work counted through some of them is pinned too.
 """
 
 import importlib
@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from mixedvol import bodies
+from mixedvol import bodies, mixed
+from mixedvol.search import Finding, SearchConfig, SearchSpace, search, verify_finding
+from test_cli import FLAT_FINDING_DOC
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -52,3 +54,55 @@ def test_volume_calls_hull_and_determinant_through_traced_names(monkeypatch):
     unit = [tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)]
     assert bodies.volume(bodies.Zonotope(3, tuple(unit))) == 1
     assert calls == {"convex_hull_3d": 1, "determinant": 1}
+
+
+# Seven unit cubes and a two-point comparison that holds with equality.
+ONES_LINE = {
+    "candidate": 0,
+    "side_matrix": [[1] * 7] * 7,
+    "violation_ratio": "1",
+    "certificate": {
+        "center": [1] * 7,
+        "support": [
+            {"index": [2, 0, 1, 1, 1, 1, 1], "weight": "1/2"},
+            {"index": [0, 2, 1, 1, 1, 1, 1], "weight": "1/2"},
+        ],
+        "lhs": "1",
+        "rhs": "1",
+        "comparison": "V(1, 1, 1, 1, 1, 1, 1)^2 vs V(2, 0, 1, 1, 1, 1, 1)^1 * V(0, 2, 1, 1, 1, 1, 1)^1",
+    },
+}
+
+
+def envelope_candidate_99():
+    space = SearchSpace(tuple(Fraction(x) for x in ("0", "1/3", "1", "2", "5")))
+    config = SearchConfig(mode="random", seed=0, max_evaluations=150, target="full-envelope")
+    return next(f for f in search(space, config) if f.index == 99)
+
+
+@pytest.mark.parametrize(
+    "finding, verdict, evaluations",
+    [
+        (lambda: Finding.from_json(FLAT_FINDING_DOC), True, 13),
+        (envelope_candidate_99, True, 13),
+        (lambda: Finding.from_json(ONES_LINE), False, 191),
+    ],
+    ids=["flat-triple", "envelope-99", "ones-7x7"],
+)
+def test_verify_evaluates_only_the_named_coefficients(monkeypatch, finding, verdict, evaluations):
+    # The tracer wraps mixedvol.mixed.volume; verify reads the volumes of the
+    # weighted sums that polarization of the certificate's own indices needs,
+    # not those of the whole volume polynomial (19 for k = n = 3, 3,431 for
+    # k = n = 7).
+    f = finding()
+    calls = 0
+    inner = mixed.volume
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mixed, "volume", counting)
+    assert verify_finding(f) is verdict
+    assert calls == evaluations
