@@ -279,12 +279,14 @@ def _solve_unique(cols: list[tuple[int, ...]], rhs: Sequence[int]) -> tuple[Frac
 
 
 @cache
-def _vertex_table(k: int, n: int) -> tuple[tuple[MultiIndex, tuple[tuple[int, tuple], ...]], ...]:
+def _vertex_table(k: int, n: int) -> tuple[tuple[MultiIndex, tuple[tuple[int, tuple, int, tuple], ...]], ...]:
     # Per center I, in simplex order: (bitmask over simplex positions, sorted
-    # (J, w_J) pairs) for every support of other points with a unique, strictly
-    # positive solution of Σ w_J J = I, by size and then in subset-scan order.
-    # A positive w_J with J_c > 0 = I_c is impossible, so supports lie in the
-    # smallest face holding I, whose points span one dimension per nonzero I_c.
+    # (J, w_J) pairs, q, (J, p_J) pairs) for every support of other points
+    # with a unique, strictly positive solution of Σ w_J J = I, by size and
+    # then in subset-scan order; q is the weights' common denominator and
+    # p_J = w_J·q, the powers of power_certificate.  A positive w_J with
+    # J_c > 0 = I_c is impossible, so supports lie in the smallest face
+    # holding I, whose points span one dimension per nonzero I_c.
     points = discrete_simplex(k, n)
     table = []
     for center in points:
@@ -302,17 +304,22 @@ def _vertex_table(k: int, n: int) -> tuple[tuple[MultiIndex, tuple[tuple[int, tu
                 if w is None or any(x <= 0 for x in w):
                     continue
                 mask = sum(bit for bit, _ in subset)
-                entries.append((mask, tuple(sorted(zip(cols, w)))))
+                support = tuple(sorted(zip(cols, w)))
+                q = lcm(*(x.denominator for x in w))
+                powers = tuple((idx, x.numerator * (q // x.denominator)) for idx, x in support)
+                entries.append((mask, support, q, powers))
         table.append((center, tuple(entries)))
     return tuple(table)
 
 
-def _envelope_scan(vp: VolumePolynomial) -> tuple[list[Certificate], int]:
+def _envelope_scan(vp: VolumePolynomial) -> tuple[list[tuple], int]:
     # For every center I with V_I > 0, the vertices of the weight polytope
     # {w >= 0 : Σ w_J J = I, support on J != I with V_J > 0} are the vertex
     # table entries whose support avoids every V_J = 0 (an empty polytope
-    # keeps none).  Build the exact power comparison at each.  Returns all
-    # comparisons (violated or not) plus the number of centers examined.
+    # keeps none).  Compare the exact powers V_I^q and Π V_J^{p_J} at each.
+    # Returns every (center, support, lhs, rhs), violated or not, plus the
+    # number of centers examined; power_certificate turns one into a
+    # Certificate.
     coeffs = vp.coefficients
     table = _vertex_table(vp.k, vp.n)
     for center, _ in table:
@@ -321,15 +328,19 @@ def _envelope_scan(vp: VolumePolynomial) -> tuple[list[Certificate], int]:
     positive = [coeffs[center] > 0 for center, _ in table]
     zero_mask = sum(1 << pos for pos, finite in enumerate(positive) if not finite)
     others = sum(positive) > 1
-    comparisons: list[Certificate] = []
+    comparisons = []
     checked = 0
     for (center, entries), finite in zip(table, positive):
         if not finite or not others:
             continue
         checked += 1
-        for mask, support in entries:
+        value = coeffs[center]
+        for mask, support, q, powers in entries:
             if not mask & zero_mask:
-                comparisons.append(power_certificate(center, support, coeffs))
+                rhs = Fraction(1)
+                for idx, p in powers:
+                    rhs *= coeffs[idx] ** p
+                comparisons.append((center, support, value**q, rhs))
     return comparisons, checked
 
 
@@ -341,7 +352,21 @@ def envelope_vertex_comparisons(vp: VolumePolynomial) -> tuple[Certificate, ...]
     are exhaustive evidence for or against envelope concavity.
     """
     comparisons, _ = _envelope_scan(vp)
-    return tuple(comparisons)
+    return tuple(power_certificate(center, support, vp.coefficients) for center, support, *_ in comparisons)
+
+
+def strongest_envelope_comparison(vp: VolumePolynomial) -> tuple[Fraction, Certificate | None]:
+    """The largest rhs/lhs over the vertex comparisons (0 with none), and the
+    certificate of the first comparison that attains it when it exceeds 1.
+
+    Comparisons run over positive coefficients only, so no lhs vanishes.
+    """
+    comparisons, _ = _envelope_scan(vp)
+    best = max(comparisons, key=lambda c: c[3] / c[2], default=None)
+    ratio = Fraction(0) if best is None else best[3] / best[2]
+    if ratio <= 1:
+        return ratio, None
+    return ratio, power_certificate(best[0], best[1], vp.coefficients)
 
 
 def gromov_concavity(vp: VolumePolynomial) -> Report:
@@ -356,7 +381,12 @@ def gromov_concavity(vp: VolumePolynomial) -> Report:
     (log 0 = -infinity).
     """
     comparisons, checked = _envelope_scan(vp)
-    return Report.of([c for c in comparisons if c.lhs < c.rhs], checked)
+    violated = [
+        power_certificate(center, support, vp.coefficients)
+        for center, support, lhs, rhs in comparisons
+        if lhs < rhs
+    ]
+    return Report.of(violated, checked)
 
 
 def gromov_triple_check(bodies: Sequence[Body]) -> Report:

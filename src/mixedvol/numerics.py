@@ -2,10 +2,10 @@
 positive-definiteness, and an exact equality-form LP solver.
 
 Every correctness-bearing value in this package is a ``fractions.Fraction``;
-the determinant works on integers, each row cleared of its own denominators,
-and divides once.  Nothing here touches floating point.  All functions but
-:func:`eliminate`, which updates the echelon it is given, are pure and operate
-on immutable inputs, so concurrent use is safe.
+the permanent and the determinant work on integers, each row cleared of its
+own denominators, and divide once.  Nothing here touches floating point.  All
+functions but :func:`eliminate`, which updates the echelon it is given, are
+pure and operate on immutable inputs, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ class SymMatrix(Matrix):
 
 
 def permanent(m: Matrix) -> Fraction:
-    """Permanent of a square matrix by Ryser's inclusion-exclusion.
+    """Permanent of a square matrix by Ryser's inclusion-exclusion on integers,
+    each row cleared of its own denominators, with one division at the end.
 
     Column subsets are walked in Gray-code order so each step updates the
     per-row sums by a single column.  The empty matrix has permanent 1.
@@ -179,10 +180,11 @@ def permanent(m: Matrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-
-    cols = [[m[i][j] for i in range(n)] for j in range(n)]
-    sums = [Fraction(0)] * n
-    total = Fraction(0)
+    # The permanent is linear in each row, so perm(X_i / W_i) = perm(X) / Π W_i.
+    cleared = [clear_denominators(row) for row in m]
+    cols = [[row[j] for row, _ in cleared] for j in range(n)]
+    sums = [0] * n
+    total = 0
     gray = 0
     for t in range(1, 1 << n):
         j = (t & -t).bit_length() - 1
@@ -194,14 +196,12 @@ def permanent(m: Matrix) -> Fraction:
         else:
             for i in range(n):
                 sums[i] -= col[i]
-        prod = sums[0]
-        for i in range(1, n):
-            prod *= sums[i]
+        term = prod(sums)
         if (n - gray.bit_count()) & 1:
-            total -= prod
+            total -= term
         else:
-            total += prod
-    return total
+            total += term
+    return Fraction(total, prod(w for _, w in cleared))
 
 
 def clear_denominators(row: Sequence[Fraction]) -> tuple[list[int], int]:

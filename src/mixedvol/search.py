@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -26,9 +25,10 @@ from typing import Iterable, Iterator, Sequence
 from .bodies import AxisBox
 from .inequalities import (
     Certificate,
-    envelope_vertex_comparisons,
+    envelope_vertex_comparisons,  # noqa: F401 - perfbench/spans.py traces this attribute
     power_certificate,
     recheck_certificate,  # noqa: F401 - perfbench/spans.py traces this attribute
+    strongest_envelope_comparison,
     triple_certificate,
 )
 from .mixed import BodyTuple, MultiIndex, VolumePolynomial, coefficients, discrete_simplex
@@ -255,14 +255,10 @@ def _triple(sp: SearchSpace, digits: Sequence[int], index: int) -> tuple[Fractio
 
 
 def _envelope(sp: SearchSpace, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
-    # The first vertex comparison with the largest ratio; comparisons run over
-    # positive coefficients only, so no lhs vanishes.
-    comparisons = envelope_vertex_comparisons(_box_polynomial(sp, digits))
-    best = max(comparisons, key=lambda cert: cert.rhs / cert.lhs, default=None)
-    ratio = Fraction(0) if best is None else best.rhs / best.lhs
-    if ratio <= 1:
+    ratio, cert = strongest_envelope_comparison(_box_polynomial(sp, digits))
+    if cert is None:
         return ratio, None
-    return ratio, Finding(index, _candidate_matrix(sp, digits), best, ratio)
+    return ratio, Finding(index, _candidate_matrix(sp, digits), cert, ratio)
 
 
 def _evaluate(sp: SearchSpace, target: str, digits: Sequence[int], index: int) -> tuple[Fraction, Finding | None]:
@@ -402,6 +398,10 @@ def search(space: SearchSpace, config: SearchConfig, *, jobs: int = 1) -> Search
     jobs = max(1, min(int(jobs), _cpu_count(), count // 2))
     if jobs == 1:
         return _finish([_scan_range(space, config, 0, count)], count)
+
+    # Imported here: the process machinery costs every importer memory and
+    # start-up time, and only a pooled scan needs it.
+    from concurrent.futures import ProcessPoolExecutor
 
     bounds = [count * i // jobs for i in range(jobs + 1)]
     chunks = [(bounds[i], bounds[i + 1]) for i in range(jobs)]

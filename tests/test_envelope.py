@@ -3,7 +3,8 @@
 ``oracles.slow_envelope_scan`` solves every column subset of every center
 again for each polynomial, behind an exact LP feasibility screen.  The fast
 scan must return the same comparisons in the same order with the same
-checked count, so Reports and findings streams cannot tell them apart.
+checked count, and the certificates built from them the same text, so
+Reports and findings streams cannot tell them apart.
 """
 
 from fractions import Fraction
@@ -15,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixedvol.bodies import AxisBox
-from mixedvol.inequalities import FAILS, HOLDS, _envelope_scan, _vertex_table, gromov_concavity
+from mixedvol.inequalities import (
+    FAILS,
+    HOLDS,
+    _envelope_scan,
+    _vertex_table,
+    envelope_vertex_comparisons,
+    gromov_concavity,
+    strongest_envelope_comparison,
+)
 from mixedvol.mixed import BodyTuple, VolumePolynomial, discrete_simplex, volume_polynomial
 from oracles import slow_envelope_scan
 
@@ -33,9 +42,20 @@ def _poly(rng: Random, k: int, n: int, zeros: int) -> VolumePolynomial:
 def _assert_matches_oracle(vp: VolumePolynomial) -> None:
     comparisons, checked = _envelope_scan(vp)
     expected, expected_checked = slow_envelope_scan(vp.k, vp.n, vp.coefficients)
-    got = [(c.center, c.support, c.lhs, c.rhs, c.comparison) for c in comparisons]
-    assert got == expected
+    assert comparisons == [c[:4] for c in expected]
     assert checked == expected_checked
+    certs = envelope_vertex_comparisons(vp)
+    assert [(c.center, c.support, c.lhs, c.rhs, c.comparison) for c in certs] == expected
+
+    ratios = [rhs / lhs for _, _, lhs, rhs, _ in expected]
+    best = max(ratios, default=Fraction(0))
+    ratio, cert = strongest_envelope_comparison(vp)
+    assert ratio == best
+    if best > 1:
+        first = expected[ratios.index(best)]
+        assert (cert.center, cert.support, cert.lhs, cert.rhs, cert.comparison) == first
+    else:
+        assert cert is None
 
     report = gromov_concavity(vp)
     violated = [c for c in expected if c[2] < c[3]]
@@ -112,9 +132,28 @@ def test_scan_matches_oracle_property(vp):
 def test_vertex_weights_within_certificate_bound(k, n):
     # Certificate rejects a common weight denominator q > n^min(k, n); every
     # vertex of the table must stay within it, or genuine comparisons break.
-    q = max(
-        lcm(*(w.denominator for _, w in support))
-        for _, entries in _vertex_table(k, n)
-        for _, support in entries
-    )
-    assert 1 < q <= n ** min(k, n)
+    # The stored q and powers p_J = w_J·q are those of power_certificate.
+    top = 0
+    for _, entries in _vertex_table(k, n):
+        for _, support, q, powers in entries:
+            assert q == lcm(*(w.denominator for _, w in support))
+            assert [idx for idx, _ in powers] == [idx for idx, _ in support]
+            assert all(type(p) is int and p == w * q for (_, p), (_, w) in zip(powers, support))
+            top = max(top, q)
+    assert 1 < top <= n ** min(k, n)
+
+
+def test_strongest_comparison_keeps_the_first_of_a_tie():
+    # Bodies 2 and 3 are interchangeable: centers (1,0,1) and (1,1,0) both
+    # compare against V(2,0,0) = 4 at ratio 4, and (1,0,1) comes first in
+    # scan order.  (0,1,1) compares at ratio 1.
+    coeffs = {(2, 0, 0): 4, (0, 2, 0): 1, (0, 0, 2): 1, (1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+    vp = VolumePolynomial(k=3, n=2, coefficients={i: Fraction(v) for i, v in coeffs.items()})
+    half = Fraction(1, 2)
+    order = [(c.center, c.rhs / c.lhs) for c in envelope_vertex_comparisons(vp)]
+    assert order == [((0, 1, 1), 1), ((1, 0, 1), 4), ((1, 1, 0), 4)]
+    ratio, cert = strongest_envelope_comparison(vp)
+    assert ratio == 4
+    assert cert.center == (1, 0, 1)
+    assert cert.support == (((0, 0, 2), half), ((2, 0, 0), half))
+    assert cert.comparison == "V(1, 0, 1)^2 vs V(0, 0, 2)^1 * V(2, 0, 0)^1"

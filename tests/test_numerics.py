@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from random import Random
 
@@ -133,6 +134,45 @@ def test_permanent_invariant_under_permutations():
         transposed = [[rows[i][j] for i in range(n)] for j in range(n)]
         rng.shuffle(order)
         assert permanent(Matrix([[transposed[j][i] for j in order] for i in range(n)])) == p
+
+
+@st.composite
+def permanent_matrices(draw):
+    """Up to 6x6 with negative entries and mixed denominators within a row;
+    a row may be zeroed or repeated."""
+    n = draw(st.integers(0, 6))
+    entry = st.one_of(st.just(Fraction(0)), st.fractions(-5, 5, max_denominator=9))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2:
+        i, j = draw(st.permutations(range(n)))[:2]
+        change = draw(st.sampled_from(["none", "zero", "repeat"]))
+        if change == "zero":
+            rows[i] = [Fraction(0)] * n
+        elif change == "repeat":
+            rows[j] = list(rows[i])
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(permanent_matrices())
+def test_permanent_matches_naive_oracle_property(rows):
+    p = permanent(Matrix(rows))
+    assert type(p) is Fraction
+    assert p == naive_permanent(rows)
+
+
+def test_permanent_with_large_distinct_denominators():
+    # Every entry has its own 200-digit denominator; each row is cleared by
+    # its own lcm, so the integers stay near 1,200 digits a row.
+    rng = Random(2311)
+    rows = [
+        [Fraction(rng.randint(-9, 9), rng.randrange(10**199, 10**200)) for _ in range(6)]
+        for _ in range(6)
+    ]
+    start = time.perf_counter()
+    p = permanent(Matrix(rows))
+    assert time.perf_counter() - start < 5
+    assert p == naive_permanent(rows)
 
 
 # -- determinant -------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the violation search: determinism, parallel equivalence, and
 independent re-verification of every emitted finding."""
 
+import concurrent.futures
 import dataclasses
 import importlib
 import json
@@ -385,7 +386,7 @@ class _RecordingPool:
 
 
 def test_jobs_clamped_to_cpus_and_chunks(monkeypatch):
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(_RecordingPool, "started", [])
     space = SearchSpace(side_grid=FULL_GRID)

@@ -2,17 +2,22 @@
 
 ``perfbench/spans.py`` lists them in TIMED and COUNTED.  A refactor that drops
 or renames one of them would otherwise surface only as a traced benchmark run
-that exits 1.  The work counted through some of them is pinned too.
+that exits 1.  The work counted through some of them is pinned too, and so
+is the import of the CLI, which leaves the process pool out.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mixedvol import bodies, mixed
+import mixedvol
+from mixedvol import bodies, inequalities, mixed
 from mixedvol.search import Finding, SearchConfig, SearchSpace, search, verify_finding
 from test_cli import FLAT_FINDING_DOC
 
@@ -54,6 +59,39 @@ def test_volume_calls_hull_and_determinant_through_traced_names(monkeypatch):
     unit = [tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)]
     assert bodies.volume(bodies.Zonotope(3, tuple(unit))) == 1
     assert calls == {"convex_hull_3d": 1, "determinant": 1}
+
+
+def test_envelope_search_scans_through_traced_name(monkeypatch):
+    # The tracer wraps mixedvol.inequalities._envelope_scan; if the
+    # full-envelope target stopped calling it through that module global,
+    # once per candidate, inequalities.envelope.* would read 0 on
+    # envelope-hunt without failing.
+    calls = 0
+    inner = inequalities._envelope_scan
+
+    def counting(vp):
+        nonlocal calls
+        calls += 1
+        return inner(vp)
+
+    monkeypatch.setattr(inequalities, "_envelope_scan", counting)
+    space = SearchSpace(tuple(Fraction(x) for x in ("0", "1/3", "1", "2", "5")))
+    config = SearchConfig(mode="random", seed=3, max_evaluations=40, target="full-envelope")
+    assert search(space, config).evaluations == 40
+    assert calls == 40
+
+
+def test_cli_import_leaves_process_machinery_unloaded():
+    # Only a pooled scan imports the process pool, which costs every process
+    # that imports it memory and start-up time.
+    code = (
+        "import sys, mixedvol.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mixedvol.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # Seven unit cubes and a two-point comparison that holds with equality.
