@@ -6,16 +6,19 @@ point intervals, a zonotope may have dependent generators, and volume is then
 0.  The counterexample bodies this package exists to handle are all flat.
 
 General polytopes are supported only up to ambient dimension 3, by an
-incremental convex hull whose orientation predicates run on integers, each
-point cleared of its own denominators; boxes and zonotopes work in any dimension.
+incremental convex hull on integers, each point cleared of its own
+denominators and each facet storing its plane; boxes and zonotopes work in
+any dimension.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Sequence, Union
+from math import gcd, prod
+from typing import Callable, Iterable, Sequence, Union
 
 from .numerics import (
     Matrix,
@@ -24,8 +27,8 @@ from .numerics import (
     as_rational,
     clear_denominators,
     determinant,
-    eliminate,
     format_rational,
+    integer_determinant,
     matrix_rank,
 )
 
@@ -102,13 +105,16 @@ class Zonotope:
         object.__setattr__(self, "generators", gens)
 
     def vertices(self) -> list[Point]:
-        # Subset sums; a superset of the true vertex set, which downstream
-        # hull construction is required to tolerate.
-        pts = [tuple(Fraction(0) for _ in range(self.dim))]
-        for g in self.generators:
-            pts = [p for p in pts] + [tuple(a + b for a, b in zip(p, g)) for p in pts]
-            pts = list(dict.fromkeys(pts))
-        return pts
+        # Subset sums of the generators.  In dimension <= 3 each step keeps
+        # only the extreme points, O(m^2) of them for m generators instead of
+        # up to 2^m; above that every distinct sum stays.
+        origin = (0,) * self.dim + (1,)
+        pts = [origin]
+        for g in _homogeneous(self.generators):
+            pts = _sum_points(pts, [origin, g])
+            if self.dim <= 3:
+                pts = _extreme_points(pts)
+        return _fraction_points(pts)
 
 
 @dataclass(frozen=True)
@@ -184,11 +190,10 @@ def minkowski_sum(parts: Sequence[tuple[RationalLike, Body]]) -> Body:
 
     if n > 3:
         raise ValueError("mixed-kind Minkowski sums are supported only in dimensions 1..3")
-    acc = [tuple(Fraction(0) for _ in range(n))]
+    acc = [(0,) * n + (1,)]
     for lam, b in scaled:
-        vs = [tuple(lam * x for x in v) for v in b.vertices()]
-        acc = list(dict.fromkeys(tuple(a + c for a, c in zip(p, v)) for p in acc for v in vs))
-    return VPolytope(n, tuple(acc))
+        acc = _sum_points(acc, _homogeneous([tuple(lam * x for x in v) for v in b.vertices()]))
+    return VPolytope(n, tuple(_fraction_points(acc)))
 
 
 def affine_dimension(b: Body) -> int:
@@ -206,25 +211,105 @@ def affine_dimension(b: Body) -> int:
 # Exact convex hulls
 
 
-def _homogeneous(points: Sequence[Point]) -> list[tuple[int, int, int, int]]:
-    # Each point as integers (X, Y, Z, W) cleared of its own denominators:
+def _homogeneous(points: Sequence[Point]) -> list[tuple[int, ...]]:
+    # Each point as integers (X, ..., W) cleared of its own denominators:
     # one W for all points would make every coordinate huge.
     return [(*x, w) for x, w in map(clear_denominators, points)]
 
 
-def _orient3d(a, b, c, d) -> int:
-    # Determinant of the rows b-a, c-a, d-a of homogeneous points, times
-    # W_a^3*W_b*W_c*W_d > 0 (rows W_a*B - W_b*A, ...): positive iff d lies on
-    # the positive side of the oriented plane through a, b, c.
-    (ax, ay, az, aw), (bx, by, bz, bw), (cx, cy, cz, cw), (dx, dy, dz, dw) = a, b, c, d
-    u = (aw * bx - bw * ax, aw * by - bw * ay, aw * bz - bw * az)
-    v = (aw * cx - cw * ax, aw * cy - cw * ay, aw * cz - cw * az)
-    w = (aw * dx - dw * ax, aw * dy - dw * ay, aw * dz - dw * az)
-    return (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
+def _fraction_points(hom: Sequence[tuple[int, ...]]) -> list[Point]:
+    return [tuple(Fraction(x, p[-1]) for x in p[:-1]) for p in hom]
+
+
+def _sum_points(acc, pts, c: int = 1) -> list[tuple[int, ...]]:
+    # The distinct points p + c*v of homogeneous points, each over the lcm of
+    # its two W and reduced by its gcd, so equal points have equal integers.
+    out = {}
+    for p in acc:
+        wp = p[-1]
+        for v in pts:
+            wv = v[-1]
+            w = wp * wv // gcd(wp, wv)
+            a, b = w // wp, c * (w // wv)
+            s = [a * x + b * y for x, y in zip(p, v)]
+            s[-1] = w
+            g = gcd(*s)
+            out[tuple(x // g for x in s) if g > 1 else tuple(s)] = None
+    return list(out)
+
+
+def _facet(hom, a: int, b: int, c: int) -> tuple[int, ...]:
+    # (a, b, c, n, δ) with n = W_a·B×C + W_b·C×A + W_c·A×B, which is
+    # W_a·W_b·W_c·(b−a)×(c−a), and δ = A·(B×C): a point D lies on the positive
+    # side of the oriented plane through a, b, c iff n·D − W_d·δ > 0.
+    (ax, ay, az, aw), (bx, by, bz, bw), (cx, cy, cz, cw) = hom[a], hom[b], hom[c]
+    u, v, t = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx  # B×C
+    nx = aw * u + bw * (cy * az - cz * ay) + cw * (ay * bz - az * by)
+    ny = aw * v + bw * (cz * ax - cx * az) + cw * (az * bx - ax * bz)
+    nz = aw * t + bw * (cx * ay - cy * ax) + cw * (ax * by - ay * bx)
+    return a, b, c, nx, ny, nz, ax * u + ay * v + az * t
+
+
+def _side(f: tuple[int, ...], p: tuple[int, ...]) -> int:
+    return f[3] * p[0] + f[4] * p[1] + f[5] * p[2] - p[3] * f[6]
+
+
+def _hull(hom: list[tuple[int, int, int, int]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Seed and outward facets, each with its plane, of distinct homogeneous
+    points in R^3.  The seed is the first point, then each point that raises
+    the affine dimension: its length is that dimension plus one."""
+    seed, plane = [0], None
+    for i in range(1, len(hom)):
+        if len(seed) == 2:
+            raised = any(_facet(hom, 0, seed[1], i)[3:6])  # not collinear
+        else:
+            raised = plane is None or _side(plane, hom[i]) != 0  # distinct, or not coplanar
+        if raised:
+            seed.append(i)
+            if len(seed) == 3:
+                plane = _facet(hom, *seed)
+            elif len(seed) == 4:
+                break
+    if len(seed) < 4:
+        return seed, []
+    _, i1, i2, i3 = seed
+    if _side(plane, hom[i3]) > 0:
+        i1, i2 = i2, i1
+    # Now i3 lies on the negative side of (0, i1, i2), so each face below sees
+    # the remaining vertex on its negative side: outward orientation.
+    facets = [_facet(hom, *f) for f in ((0, i1, i2), (0, i2, i3), (0, i3, i1), (i1, i3, i2))]
+    done = set(seed)
+    for ip, (x, y, z, w) in enumerate(hom):
+        if ip in done:
+            continue
+        sides = [nx * x + ny * y + nz * z - w * d for _, _, _, nx, ny, nz, d in facets]
+        if max(sides) <= 0:
+            continue  # inside the hull, or on its boundary
+        # Horizon: directed edges of visible facets whose opposite direction
+        # belongs to a kept facet. Closed visibility (side >= 0) removes whole
+        # coplanar clusters, so horizon edges are never collinear with the
+        # point and no degenerate facet can be created.
+        edges = set()
+        for f, s in zip(facets, sides):
+            if s >= 0:
+                a, b, c = f[:3]
+                edges.update(((a, b), (b, c), (c, a)))
+        facets = [f for f, s in zip(facets, sides) if s < 0]
+        facets.extend(_facet(hom, u, v, ip) for u, v in edges if (v, u) not in edges)
+    return seed, facets
+
+
+def _fraction_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    # Σ num/den, adding the numerators of equal denominators as integers first.
+    sums: dict[int, int] = defaultdict(int)
+    for num, den in terms:
+        sums[den] += num
+    return sum((Fraction(s, d) for d, s in sums.items()), Fraction(0))
+
+
+def _hull_volume(hom, facets) -> Fraction:
+    # The cones from the origin over the outward facets: Σ det(a, b, c) / 6.
+    return _fraction_sum((f[6], hom[f[0]][3] * hom[f[1]][3] * hom[f[2]][3]) for f in facets) / 6
 
 
 @dataclass(frozen=True)
@@ -251,67 +336,37 @@ def convex_hull_3d(points: Sequence[Sequence[RationalLike]]) -> Hull3D:
     for p in pts:
         if len(p) != 3:
             raise ValueError(f"point {p} is not three-dimensional")
-
-    # Seed tetrahedron: the first point, then each point whose difference from
-    # it raises the rank (first distinct, first non-collinear, first
-    # non-coplanar).  Their count is the affine dimension.
-    echelon: list[tuple[int, list[Fraction]]] = []
-    seed = []
-    for i in range(1, len(pts)):
-        if eliminate(echelon, [x - y for x, y in zip(pts[i], pts[0])], 3):
-            seed.append(i)
-            if len(seed) == 3:
-                break
-    if len(seed) < 3:
-        return Hull3D(points=tuple(pts), affine_dim=len(seed), facets=())
-    i1, i2, i3 = seed
-    hom = _homogeneous(pts)
-    if _orient3d(hom[0], hom[i1], hom[i2], hom[i3]) > 0:
-        i1, i2 = i2, i1
-    # Now orient3d(p0,p1,p2,p3) < 0, so each face below sees the remaining
-    # vertex on its negative side: outward orientation.
-    facets = [(0, i1, i2), (0, i2, i3), (0, i3, i1), (i1, i3, i2)]
-
-    done = {0, i1, i2, i3}
-    for ip, p in enumerate(hom):
-        if ip in done:
-            continue
-        vis = []
-        strictly_outside = False
-        for f in facets:
-            o = _orient3d(hom[f[0]], hom[f[1]], hom[f[2]], p)
-            if o > 0:
-                strictly_outside = True
-            if o >= 0:
-                vis.append(f)
-        if not strictly_outside:
-            continue  # inside the hull, or on its boundary
-        vis_set = set(vis)
-        # Horizon: directed edges of visible facets whose opposite direction
-        # belongs to a kept facet. Closed visibility (o >= 0 above) removes
-        # whole coplanar clusters, so horizon edges are never collinear with p
-        # and no degenerate facet can be created.
-        edges = set()
-        for a, b, c in vis:
-            for e in ((a, b), (b, c), (c, a)):
-                edges.add(e)
-        facets = [f for f in facets if f not in vis_set]
-        for u, v in edges:
-            if (v, u) not in edges:
-                facets.append((u, v, ip))
-    return Hull3D(points=tuple(pts), affine_dim=3, facets=tuple(facets))
+    seed, facets = _hull(_homogeneous(pts))
+    return Hull3D(points=tuple(pts), affine_dim=len(seed) - 1, facets=tuple(f[:3] for f in facets))
 
 
 def hull_volume(h: Hull3D) -> Fraction:
     if h.affine_dim < 3:
         return Fraction(0)
     hom = _homogeneous(h.points)
-    ref = hom[h.facets[0][0]]
-    total = Fraction(0)
-    for ha, hb, hc in ([hom[i] for i in f] for f in h.facets):
-        total += Fraction(_orient3d(ref, ha, hb, hc), ref[3] ** 3 * ha[3] * hb[3] * hc[3])
-    # Outward facets make each cone volume nonnegative relative to a hull point.
-    return total / 6
+    return _hull_volume(hom, [_facet(hom, *f) for f in h.facets])
+
+
+def _extreme_points(hom: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    # The vertices of the hull of distinct homogeneous points in dimension
+    # <= 3, in input order: the 3D hull's facet vertices, or else the 2D hull
+    # of a projection that is one to one on the points' affine hull.
+    pad = (0,) * (4 - len(hom[0]))
+    hom3 = [p[:-1] + pad + p[-1:] for p in hom]
+    seed, facets = _hull(hom3)
+    if facets:
+        keep = {i for f in facets for i in f[:3]}
+    else:
+        if len(seed) == 3:  # coplanar: drop a coordinate the normal has
+            k = next(j for j, x in enumerate(_facet(hom3, *seed)[3:6]) if x)
+        else:  # collinear: keep a coordinate the line moves in, and one more
+            p, q = hom3[0], hom3[seed[-1]]
+            k = next((j for j in range(3) if p[j] * q[3] != q[j] * p[3]), 0) - 1
+        a, b = (j for j in range(3) if j != k % 3)
+        flat = [(Fraction(p[a], p[3]), Fraction(p[b], p[3])) for p in hom3]
+        corners = set(_hull_2d(flat))
+        keep = {i for i, q in enumerate(flat) if q in corners}
+    return [p for i, p in enumerate(hom) if i in keep]
 
 
 def _hull_2d(pts: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
@@ -373,6 +428,37 @@ def volume(b: Body) -> Fraction:
             return _polygon_area([(v[0], v[1]) for v in b.verts])
         return hull_volume(convex_hull_3d(b.verts))
     raise TypeError(f"not a body: {type(b).__name__}")
+
+
+def weighted_volume(bodies: Sequence[Body]) -> Callable[[Sequence[int]], Fraction]:
+    """``evaluate(c)`` = Vol(Σ c_j B_j) for nonnegative integer weights c,
+    with the bodies' numbers cleared to integers once for all calls.
+
+    Zonotopes: Σ over n-subsets T of all generators of Π_{g∈T} c_body(g) ·
+    |det X_T| / Π_{g∈T} W_g, each |det X_T| computed once.  Otherwise, in
+    dimension <= 3: integer vertex sums and the integer 3D hull."""
+    n = bodies[0].dim
+    if all(isinstance(b, Zonotope) for b in bodies):
+        gens = [(j, *clear_denominators(g)) for j, b in enumerate(bodies) for g in b.generators if any(g)]
+        sums: dict = defaultdict(int)  # (bodies of T, Π W_g) -> Σ |det X_T|
+        for sub in combinations(gens, n):
+            d = integer_determinant([list(x) for _, x, _ in sub])
+            sums[tuple(j for j, _, _ in sub), prod(w for _, _, w in sub)] += abs(d)
+        return lambda c: _fraction_sum((s * prod(c[j] for j in js), w) for (js, w), s in sums.items())
+    if n > 3:
+        return lambda c: volume(minkowski_sum([(w, b) for w, b in zip(c, bodies) if w]))
+    verts = [list(dict.fromkeys(_homogeneous(b.vertices()))) for b in bodies]
+
+    def evaluate(c: Sequence[int]) -> Fraction:
+        pts = [(0,) * n + (1,)]
+        for w, vs in zip(c, verts):
+            if w:
+                pts = _sum_points(pts, vs, w)
+        if n < 3:
+            return volume(VPolytope(n, tuple(_fraction_points(pts))))
+        return _hull_volume(pts, _hull(pts)[1])
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

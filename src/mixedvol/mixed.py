@@ -24,7 +24,7 @@ from itertools import count, product
 from math import comb, factorial, prod
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .bodies import Body, minkowski_sum, volume
+from .bodies import AxisBox, Body, minkowski_sum, volume, weighted_volume
 from .numerics import (
     Matrix,
     SymMatrix,
@@ -251,10 +251,12 @@ def coefficients(t: BodyTuple | MatrixTuple, indices: Sequence[MultiIndex]) -> l
     for index in indices:
         if len(index) != t.k or min(index) < 0 or sum(index) != t.n:
             raise ValueError(f"index {tuple(index)} is not in the discrete simplex of k = {t.k}, n = {t.n}")
-    if isinstance(t, BodyTuple):
-        evaluate = partial(_weighted_volume, t.bodies)
-    else:
+    if isinstance(t, MatrixTuple):
         evaluate = partial(_weighted_det, t.matrices)
+    elif all(isinstance(b, AxisBox) for b in t.bodies):
+        evaluate = partial(_weighted_volume, t.bodies)  # box sums are boxes: nothing to clear once
+    else:
+        evaluate = weighted_volume(t.bodies)
     cache: dict[MultiIndex, Fraction] = {}
     return [_polarize(evaluate, index, t.n, cache) for index in indices]
 

@@ -215,19 +215,21 @@ def determinant(m: Matrix) -> Fraction:
     each row cleared of its own denominators; the empty matrix gives 1."""
     if not m.is_square():
         raise DimensionError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
     cleared = [clear_denominators(row) for row in m]
-    a = [row for row, _ in cleared]
-    scale = prod(w for _, w in cleared)
+    return Fraction(integer_determinant([row for row, _ in cleared]), prod(w for _, w in cleared))
+
+
+def integer_determinant(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination, with
+    exact ``//``; overwrites ``a``.  The empty matrix gives 1."""
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -235,7 +237,7 @@ def determinant(m: Matrix) -> Fraction:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
         prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return sign * a[n - 1][n - 1] if n else 1
 
 
 def eliminate(echelon: list[tuple[int, list[Fraction]]], row: list[Fraction], width: int) -> bool:

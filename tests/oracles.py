@@ -6,7 +6,7 @@ bug in the fast routes cannot be mirrored here.  Keep them slow and obvious.
 
 import importlib
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial, lcm
 from random import Random
 
@@ -51,6 +51,17 @@ def naive_determinant(rows):
             term *= rows[i][sigma[i]]
         total += term
     return total
+
+
+def zonotope_polynomial(generators, n):
+    """V_I of the zonotopes with the given generator lists: (1/n!) times the
+    sum of |det| over one generator per slot, body j filling I_j slots."""
+    out = {}
+    for index in discrete_simplex(len(generators), n):
+        slots = [generators[j] for j, m in enumerate(index) for _ in range(m)]
+        total = sum((abs(naive_determinant(choice)) for choice in product(*slots)), Fraction(0))
+        out[index] = total / factorial(n)
+    return out
 
 
 def leading_minors_positive(rows):

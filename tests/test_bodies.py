@@ -16,6 +16,7 @@ from mixedvol.bodies import (
     body_to_json,
     convex_hull_3d,
     _homogeneous,
+    _hull_2d,
     hull_volume,
     minkowski_sum,
     scale,
@@ -87,6 +88,56 @@ def test_minkowski_mixed_kinds_becomes_vpolytope():
     assert isinstance(m, VPolytope)
     # unit square swept along (1,1): hexagon of area 1 + 2 shear strips
     assert volume(m) == 3
+
+
+def test_minkowski_mixed_kinds_sum_every_vertex_pair():
+    # The integer sums give the Fraction sums of every vertex pair, first
+    # occurrences in order, for rational weights and mixed denominators.
+    # Halves and thirds make many sums coincide with different summands.
+    rng = Random(2210)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        parts = []
+        for _ in range(rng.randint(1, 3)):
+            pts = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            parts.append((Fraction(rng.randint(0, 3), rng.randint(1, 2)), VPolytope(n, tuple(pts + pts[:1]))))
+        expected = [tuple(Fraction(0) for _ in range(n))]
+        for lam, b in parts:
+            expected = list(dict.fromkeys(tuple(x + lam * y for x, y in zip(p, v)) for p in expected for v in b.verts))
+        assert minkowski_sum(parts).verts == tuple(expected)
+
+
+def subset_sum_vertices(z):
+    """The extreme points of all 2^m subset sums of a zonotope's generators."""
+    pts = [tuple(Fraction(0) for _ in range(z.dim))]
+    for g in z.generators:
+        pts = list(dict.fromkeys(pts + [tuple(a + b for a, b in zip(p, g)) for p in pts]))
+    if z.dim == 1:
+        return {min(pts), max(pts)}
+    if z.dim == 2:
+        return set(_hull_2d(pts))
+    h = convex_hull_3d(pts)
+    if h.affine_dim == 3:
+        return {h.points[i] for f in h.facets for i in f}
+    # Flat in R^3: the plane z = x + y or the x axis, so (x, y) is one to one.
+    return {p for p in pts if p[:2] in set(_hull_2d([p[:2] for p in pts]))}
+
+
+def test_zonotope_vertices_are_the_extreme_subset_sums():
+    rng = Random(2211)
+    for trial in range(90):
+        n, flat = 1 + trial % 3, trial % 2
+        gens = []
+        for _ in range(rng.randint(0, 7)):
+            g = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+            if flat and n == 3 and trial % 4 == 1:
+                g[2] = g[0] + g[1]
+            elif flat and n == 3:
+                g[1] = g[2] = Fraction(0)
+            gens.append(tuple(g))
+        z = Zonotope(n, tuple(gens))
+        assert set(z.vertices()) == subset_sum_vertices(z), gens
+        assert len(z.vertices()) == len(set(z.vertices()))
 
 
 def test_minkowski_rejects_dimension_mismatch():

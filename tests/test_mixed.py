@@ -1,12 +1,30 @@
+import json
+import time
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixedvol.bodies import AxisBox, VPolytope, Zonotope, minkowski_sum, volume
+from mixedvol import bodies as bodies_module
+from mixedvol.bodies import (
+    AxisBox,
+    VPolytope,
+    Zonotope,
+    body_from_json,
+    minkowski_sum,
+    volume,
+    weighted_volume,
+)
 from mixedvol.mixed import (
     BodyTuple,
+    _polarize,
+    _weighted_volume,
     MatrixTuple,
     VolumePolynomial,
     coefficients,
@@ -21,6 +39,7 @@ from mixedvol.mixed import (
     volume_polynomial_interpolated,
 )
 from mixedvol.numerics import Matrix, SymMatrix, permanent
+from oracles import zonotope_polynomial
 
 FLAT_A1 = AxisBox.from_lengths([1, 1, 0])
 FLAT_A2 = AxisBox.from_lengths([1, 0, 5])
@@ -340,3 +359,171 @@ def test_diagonal_shortcut_is_permanent():
         from math import factorial
 
         assert mixed_discriminant(mats) == permanent(Matrix(diags)) / factorial(n)
+
+
+# -- per-tuple evaluator: zonotope and vertex-sum tuples ----------------------------
+
+
+def _small(rng):
+    return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("k, n", list(product((2, 3, 4), repeat=2)))
+def test_zonotope_routes_agree(k, n):
+    # Polarization goes through the evaluator, interpolation through
+    # volume(minkowski_sum(...)), the oracle through one |det| per choice.
+    rng = Random(3400 + 10 * k + n)
+    for _ in range(2):
+        gens = [[tuple(_small(rng) for _ in range(n)) for _ in range(rng.randint(1, 2))] for _ in range(k)]
+        gens[rng.randrange(k)].append((Fraction(0),) * n)
+        t = BodyTuple(tuple(Zonotope(n, tuple(g)) for g in gens))
+        by_polarization = volume_polynomial(t).coefficients
+        assert by_polarization == volume_polynomial_interpolated(t).coefficients
+        assert by_polarization == zonotope_polynomial(gens, n)
+
+
+def _vertex_body(rng, n):
+    # A V-polytope with a repeated vertex, often flat, or a box or zonotope.
+    kind = rng.choice(("vpolytope", "flat", "box", "zonotope"))
+    if kind == "box":
+        return AxisBox.from_lengths([abs(_small(rng)) for _ in range(n)])
+    if kind == "zonotope":
+        return Zonotope(n, tuple(tuple(_small(rng) for _ in range(n)) for _ in range(rng.randint(0, 2))))
+    pts = [[_small(rng) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+    if kind == "flat":
+        for p in pts:
+            p[-1] = p[0]
+    return VPolytope(n, tuple(map(tuple, pts + pts[:1])))
+
+
+def test_vpolytope_routes_agree():
+    rng = Random(3430)
+    for trial in range(24):
+        n, k = 1 + trial % 3, rng.randint(2, 3)
+        bodies = [_vertex_body(rng, n) for _ in range(k)]
+        bodies[0] = VPolytope(n, tuple(bodies[0].vertices()))
+        t = BodyTuple(tuple(bodies))
+        assert volume_polynomial(t).coefficients == volume_polynomial_interpolated(t).coefficients
+
+
+def test_mixed_kinds_above_dimension_three():
+    # As through minkowski_sum: only sums of bodies of one kind have a volume.
+    t = BodyTuple((AxisBox.from_lengths([1, 2, 3, 4]), Zonotope(4, (tuple(Fraction(1) for _ in range(4)),))))
+    assert coefficients(t, [(4, 0), (0, 4)]) == [24, 0]
+    with pytest.raises(ValueError, match="dimensions 1..3"):
+        coefficients(t, [(3, 1)])
+
+
+RECORDED = Path(__file__).resolve().parent.parent / "perfbench" / "vpolytopes.json"
+
+
+def test_recorded_vpolytope_tuples():
+    for entry in json.loads(RECORDED.read_text(encoding="utf-8")):
+        t = BodyTuple(tuple(body_from_json(b) for b in entry["bodies"]))
+        recorded = {tuple(map(int, i.split(","))): Fraction(v) for i, v in entry["polynomial"].items()}
+        assert volume_polynomial(t).coefficients == recorded
+        assert volume_polynomial_interpolated(t).coefficients == recorded
+
+
+@st.composite
+def weighted_tuples(draw):
+    # Bodies of every kind with zero and repeated generators, repeated and
+    # flat vertex sets, and weights that leave some bodies out.
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * n)
+    kinds = st.sampled_from(("box", "zonotope", "vpolytope") if n <= 3 else ("zonotope",))
+    bodies = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind == "box":
+            bodies.append(AxisBox(tuple((lo, lo + abs(d)) for lo, d in zip(draw(point), draw(point)))))
+        elif kind == "zonotope":
+            bodies.append(Zonotope(n, tuple(draw(st.lists(point, max_size=3)))))
+        else:
+            pts = draw(st.lists(point, min_size=1, max_size=5))
+            bodies.append(VPolytope(n, tuple(pts + pts[:1])))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(bodies), max_size=len(bodies)))
+    return bodies, weights
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(weighted_tuples())
+def test_weighted_volume_matches_minkowski_sum_property(case):
+    bodies, weights = case
+    parts = [(c, b) for c, b in zip(weights, bodies) if c]
+    v = weighted_volume(bodies)(weights)
+    assert type(v) is Fraction
+    assert v == (volume(minkowski_sum(parts)) if parts else 0)
+
+
+def _zonotopes_3x3():
+    rng = Random(3440)
+    return tuple(
+        Zonotope(3, tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)) for _ in range(3)))
+        for _ in range(3)
+    )
+
+
+@pytest.mark.parametrize("route", [lambda zs: volume_polynomial(BodyTuple(zs)), mixed_volume], ids=["volpoly", "mixvol"])
+def test_zonotope_tuple_computes_each_determinant_once(monkeypatch, route):
+    # C(9, 3) = 84 subsets of the nine generators; each weighted sum's own
+    # volume used to take 273 determinants for the polynomial, 147 for V(1,1,1).
+    calls = {"integer_determinant": 0, "determinant": 0}
+
+    def counting(name):
+        inner = getattr(bodies_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bodies_module, name, counting(name))
+    route(_zonotopes_3x3())
+    assert calls == {"integer_determinant": 84, "determinant": 0}
+
+
+def test_vpolytope_polynomial_with_large_distinct_denominators():
+    # Six vertices per body, each with its own 200-digit denominator: every
+    # weighted sum's points keep their own lcm.  Equal to polarization over
+    # volume(minkowski_sum(...)), the route every tuple took before.
+    rng = Random(2301)
+    bodies = []
+    for _ in range(3):
+        verts = []
+        for _ in range(6):
+            d = rng.randrange(10**199, 10**200)
+            verts.append(tuple(Fraction(rng.randint(-d, d), d) for _ in range(3)))
+        bodies.append(VPolytope(3, tuple(verts)))
+    t = BodyTuple(tuple(bodies))
+    start = time.perf_counter()
+    vp = volume_polynomial(t)
+    assert time.perf_counter() - start < 20
+    cache = {}
+    evaluate = partial(_weighted_volume, t.bodies)
+    assert vp.coefficients == {i: _polarize(evaluate, i, 3, cache) for i in discrete_simplex(3, 3)}
+
+
+@pytest.mark.parametrize("coplanar", [False, True], ids=["spatial", "coplanar"])
+def test_zonotope_of_many_generators_with_cubes(coplanar):
+    # V(Z, C, C) = (1/3)·Σ_g ‖g‖₁ for the unit cube C.  With every distinct
+    # subset sum of its 14 generators as a vertex (7,904 here, against 176
+    # extreme points), the spatial case took 32 s.
+    rng = Random(3450)
+    gens = []
+    while len(gens) < 14:
+        g = [rng.randint(-4, 4) for _ in range(3)]
+        if coplanar:
+            g[2] = g[0] - g[1]
+        if any(g):
+            gens.append(tuple(map(Fraction, g)))
+    z = Zonotope(3, tuple(gens))
+    cube = VPolytope(3, tuple(AxisBox.from_lengths([1, 1, 1]).vertices()))
+    start = time.perf_counter()
+    v = mixed_volume([z, cube, cube])
+    assert time.perf_counter() - start < 10
+    assert v == Fraction(sum(abs(x) for g in gens for x in g), 3)
+    if coplanar:  # a zonogon: two vertices per direction of its generators
+        directions = {tuple(x / next(y for y in g if y) for x in g) for g in gens}
+        assert len(z.vertices()) == 2 * len(directions)
